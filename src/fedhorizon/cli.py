@@ -82,7 +82,7 @@ def _load_partition(cfg):
 
 def cmd_run(args) -> int:
     cfg = _resolve(args, ("settings", "rounds", "folds", "batch_size",
-                          "data_dir", "parallel_folds", "pos_weight",
+                          "data_dir", "pos_weight",
                           "fixed_horizons", "time_channel"))
     partition = _load_partition(cfg)
     result = experiment.run_all_folds(partition, cfg, include_fixed=False)
@@ -95,7 +95,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare_fixed(args) -> int:
     cfg = _resolve(args, ("settings", "rounds", "folds", "batch_size",
-                          "data_dir", "parallel_folds", "pos_weight",
+                          "data_dir", "pos_weight",
                           "fixed_horizons", "time_channel"))
     if "federated" not in cfg.settings:
         cfg.settings = tuple(cfg.settings) + ("federated",)
@@ -154,10 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
                "folds, batch_size, learning_rate, pos_weight (number|auto), "
                "threshold, time_channel, fixed_horizons, seed, out_dir, "
                "patience, min_delta, val_fraction, test_fraction, "
-               "parallel_folds, lstm_units, lstm_layers, dense_units, dropout, "
+               "lstm_units, lstm_layers, dense_units, dropout, "
                "dtype. [synth] keys: counts.<ICU>, shift.<ICU>, prevalence, "
                "missingness, signal_amp, signal_lead, signal_base, onset_bias, amp_jitter, slow_frac, slow_level, sign_flip_p, noise_scale, ar_rho, "
-               "seed. Environment: FEDHORIZON_THREADS caps fold parallelism.")
+               "seed. Folds run in order; the clients of a FedAvg round train "
+               "in worker processes, one per usable CPU, as do the local and "
+               "central trainings of a fold.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic cohort")
@@ -187,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of horizons for the fixed suite")
         p.add_argument("--time-channel", dest="time_channel",
                        help="append the window-start time channel (true/false)")
-        p.add_argument("--parallel-folds", dest="parallel_folds", type=int,
-                       help="fold worker count (capped by FEDHORIZON_THREADS)")
         p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="print tables from a metrics.json")

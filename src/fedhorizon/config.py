@@ -44,7 +44,6 @@ class ExperimentConfig:
     min_delta: float = 1e-4
     val_fraction: float = 0.1
     test_fraction: float = 0.2
-    parallel_folds: int = 1
     lstm_units: int = 16
     lstm_layers: int = 3
     dense_units: int = 8
@@ -150,7 +149,7 @@ def resolve_config(file_path: str | None = None, overrides: dict | None = None
 
 
 _INT_KEYS = {"rounds", "local_epochs", "folds", "batch_size", "seed", "patience",
-             "parallel_folds", "lstm_units", "lstm_layers", "dense_units"}
+             "lstm_units", "lstm_layers", "dense_units"}
 _FLOAT_KEYS = {"learning_rate", "threshold", "min_delta", "val_fraction",
                "test_fraction", "dropout"}
 _BOOL_KEYS = {"time_channel"}
@@ -184,9 +183,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     out = io.StringIO()
     d = asdict(cfg)
     synth = d.pop("synth")
-    # execution machinery, not experiment identity: a parallel run must
-    # reproduce a sequential run byte for byte, including this file
-    d.pop("parallel_folds")
     out.write("[run]\n")
     for key in sorted(d):
         value = d[key]

@@ -2,8 +2,10 @@
 evaluation setting, metric computation, fold aggregation, and report file
 emission.
 
-All fold-level randomness derives from (seed, fold), so folds can run in
-parallel without changing results.
+All fold-level randomness derives from (seed, fold). Folds run in order;
+within a fold, federation trains the clients of a FedAvg round, and the
+local and central trainings side by side, in worker processes, one per
+usable CPU.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,9 +217,9 @@ def run_fold(partition: CohortPartition, fold: int, cfg: ExperimentConfig,
     models: dict = {}
     raw_logs: dict = {}
     round_logs: dict = {}
-    for setting in settings:
-        trained, logs = federation.run_experiment(
-            setting, clients, model_config, **train_kwargs)
+    by_setting = federation.run_settings(settings, clients, model_config,
+                                         **train_kwargs)
+    for setting, (trained, logs) in by_setting.items():
         models[setting] = trained
         for label, entries in logs.items():
             key = label if setting != "local" else f"local/{label}"
@@ -287,19 +288,10 @@ class RunResult:
 
 def run_all_folds(partition: CohortPartition, cfg: ExperimentConfig,
                   include_fixed: bool = False) -> RunResult:
-    """Run every fold (sequentially or in parallel) and aggregate."""
+    """Run every fold in order and aggregate."""
     partition = make_splits(partition, cfg.test_fraction, cfg.folds, cfg.seed)
-    workers = max(1, cfg.parallel_folds)
-    env_cap = os.environ.get("FEDHORIZON_THREADS")
-    if env_cap:
-        workers = min(workers, max(1, int(env_cap)))
-    folds = list(range(cfg.folds))
-    if workers == 1:
-        results = [run_fold(partition, k, cfg, include_fixed) for k in folds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda k: run_fold(partition, k, cfg, include_fixed), folds))
+    results = [run_fold(partition, k, cfg, include_fixed)
+               for k in range(cfg.folds)]
     aggregate = aggregate_folds([r.report for r in results])
     return RunResult(cfg=cfg, fold_results=results, aggregate=aggregate)
 

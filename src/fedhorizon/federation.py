@@ -7,12 +7,22 @@ a single (per-ICU or pooled) client, so a one-client federation is
 bit-identical to local training by construction.
 
 Client-side randomness derives solely from (seed, client index, round),
-so runs are reproducible regardless of execution order.
+so runs are reproducible regardless of execution order. A federation of
+several clients trains them in a fork pool of worker processes, one per
+usable CPU, that inherit the client data when they start; per round only
+the global parameter and batch-norm vectors go out, and the trained
+vectors and losses come back. Aggregation stays in the calling process,
+in client order, so pooled and in-process runs are bit-identical. The
+one-client trainings of the Local and Central settings are independent of
+each other, so they share such a pool too, one training per task.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -91,36 +101,78 @@ def _eval_loss(model: nn.Model, X, y, pos_weight: float) -> float:
     return nn.loss(probs, y, pos_weight=pos_weight)
 
 
+def worker_count(n_clients: int) -> int:
+    """Worker processes for a federation: one per usable CPU, at most one
+    per client. One means the clients train in-process."""
+    return min(len(os.sched_getaffinity(0)), n_clients)
+
+
+# The clients a pool worker trains, set once when the worker starts; the
+# calling process never sets it.
+_worker_clients: list[ClientState] = []
+
+
+def _set_worker_clients(clients: list[ClientState]) -> None:
+    global _worker_clients
+    _worker_clients = clients
+
+
+def _client_task(job, clients: list[ClientState] | None = None):
+    """Train one client for one round from the global vectors.
+
+    ``job`` is ``(position, config, params, buffers, round_index, seed,
+    local_epochs, batch_size, lr)``. Returns the trained parameter and
+    buffer vectors and the client's training loss. A pool worker trains
+    the clients it inherited; an in-process call passes ``clients``.
+    """
+    (position, config, params, buffers, round_index, seed, local_epochs,
+     batch_size, lr) = job
+    client = (_worker_clients if clients is None else clients)[position]
+    local = nn.Model(config,
+                     params=nn.vector_to_params(params, nn.param_layout(config)),
+                     buffers=nn.vector_to_params(buffers,
+                                                 nn.buffer_layout(config)))
+    try:
+        nn.train_epochs(
+            local, client.X_train, client.y_train,
+            epochs=local_epochs, batch_size=batch_size,
+            seed=client_seed(seed, client.index, round_index),
+            lr=lr, pos_weight=client.pos_weight)
+    except nn.ModelError as exc:
+        raise FederationError(
+            f"client {client.icu_id} failed in round {round_index}: {exc}"
+        ) from exc
+    loss = _eval_loss(local, client.X_train, client.y_train, client.pos_weight)
+    return local.to_vector(), local.buffers_to_vector(), loss
+
+
 def run_round(global_model: nn.Model, clients: list[ClientState],
               round_index: int, seed: int, local_epochs: int = 3,
-              batch_size: int = 64, lr: float = nn.ADAM_LR
+              batch_size: int = 64, lr: float = nn.ADAM_LR, pool=None
               ) -> tuple[nn.Model, RoundLog]:
     """One FedAvg round. Optimizer state is client-local and reset at the
-    start of every round (only parameters are exchanged)."""
+    start of every round (only parameters are exchanged).
+
+    Client tasks run on ``pool``, a worker pool started on these
+    clients, or in-process when it is None.
+    """
     if not clients:
         raise FederationError("round requires at least one client")
-    log = RoundLog(round=round_index)
-    params_updates = []
-    buffer_updates = []
-    for client in clients:
-        local = global_model.copy()
-        try:
-            nn.train_epochs(
-                local, client.X_train, client.y_train,
-                epochs=local_epochs, batch_size=batch_size,
-                seed=client_seed(seed, client.index, round_index),
-                lr=lr, pos_weight=client.pos_weight)
-        except nn.ModelError as exc:
-            raise FederationError(
-                f"client {client.icu_id} failed in round {round_index}: {exc}"
-            ) from exc
-        params_updates.append((local.to_vector(), client.n_k))
-        buffer_updates.append((local.buffers_to_vector(), client.n_k))
-        log.client_losses[client.icu_id] = _eval_loss(
-            local, client.X_train, client.y_train, client.pos_weight)
+    params, buffers = global_model.to_vector(), global_model.buffers_to_vector()
+    jobs = [(position, global_model.config, params, buffers, round_index, seed,
+             local_epochs, batch_size, lr) for position in range(len(clients))]
+    if pool is None:
+        results = list(map(partial(_client_task, clients=clients), jobs))
+    else:
+        results = pool.map(_client_task, jobs, chunksize=1)
+    trained, trained_buffers, losses = zip(*results)
+    weights = [client.n_k for client in clients]
+    log = RoundLog(round=round_index, client_losses={
+        client.icu_id: loss for client, loss in zip(clients, losses)})
     new_model = global_model.copy()
-    new_model.from_vector(fedavg_aggregate(params_updates))
-    new_model.buffers_from_vector(fedavg_aggregate(buffer_updates))
+    new_model.from_vector(fedavg_aggregate(list(zip(trained, weights))))
+    new_model.buffers_from_vector(
+        fedavg_aggregate(list(zip(trained_buffers, weights))))
     return new_model, log
 
 
@@ -167,6 +219,10 @@ def run_federated(clients: list[ClientState], model_config: nn.ModelConfig,
     the last round whose validation F1 improved by more than
     ``min_delta`` (the round check_convergence reports), not the final
     round; with ``early_stop=False`` the final-round model is returned.
+
+    Several clients train in a fork pool of ``worker_count`` processes,
+    closed before this returns or raises; a single client trains
+    in-process.
     """
     if not clients:
         raise FederationError("no clients")
@@ -177,19 +233,31 @@ def run_federated(clients: list[ClientState], model_config: nn.ModelConfig,
     logs: list[RoundLog] = []
     best_f1 = -np.inf
     snapshot = None
-    for round_index in range(1, rounds + 1):
-        model, log = run_round(model, clients, round_index, seed,
-                               local_epochs=local_epochs,
-                               batch_size=batch_size, lr=lr)
-        log.val_f1 = validation_f1(model, clients, threshold)
-        if early_stop and log.val_f1 > best_f1 + min_delta:
-            best_f1 = log.val_f1
-            snapshot = (model.to_vector(), model.buffers_to_vector())
-        converged_at = check_convergence(logs + [log], patience, min_delta)
-        log.converged = converged_at is not None
-        logs.append(log)
-        if early_stop and log.converged:
-            break
+    workers = worker_count(len(clients))
+    pool = None
+    if workers > 1:
+        # fork, not spawn: workers inherit the client arrays instead of
+        # unpickling a copy each; this package starts no threads to fork from
+        pool = multiprocessing.get_context("fork").Pool(
+            workers, _set_worker_clients, (clients,))
+    try:
+        for round_index in range(1, rounds + 1):
+            model, log = run_round(model, clients, round_index, seed,
+                                   local_epochs=local_epochs,
+                                   batch_size=batch_size, lr=lr, pool=pool)
+            log.val_f1 = validation_f1(model, clients, threshold)
+            if early_stop and log.val_f1 > best_f1 + min_delta:
+                best_f1 = log.val_f1
+                snapshot = (model.to_vector(), model.buffers_to_vector())
+            converged_at = check_convergence(logs + [log], patience, min_delta)
+            log.converged = converged_at is not None
+            logs.append(log)
+            if early_stop and log.converged:
+                break
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
     if snapshot is not None:
         model = model.copy()
         model.from_vector(snapshot[0])
@@ -226,36 +294,96 @@ def pool_clients(clients: list[ClientState]) -> ClientState:
     return pooled
 
 
-def run_experiment(setting: str, clients: list[ClientState],
-                   model_config: nn.ModelConfig, seed: int, rounds: int = 50,
-                   local_epochs: int = 3, batch_size: int = 64,
-                   lr: float = nn.ADAM_LR, patience: int = 3,
-                   min_delta: float = 1e-4, threshold: float = 0.5):
-    """Train under one evaluation setting.
+# The one-client trainings a pool worker runs, with their model config and
+# training arguments, set once when the worker starts.
+_worker_solo: tuple = ()
 
-    Returns ({name: Model}, {name: [RoundLog]}): one model per ICU for
-    Local, a single "federated" / "central" entry otherwise. Local and
-    Central run the same round loop with a single client, so budgets
-    (rounds x local_epochs) and early stopping are directly comparable.
+
+def _set_worker_solo(clients: list[ClientState], model_config, kwargs) -> None:
+    global _worker_solo
+    _worker_solo = (clients, model_config, kwargs)
+
+
+def _solo_task(position: int, solo: tuple | None = None):
+    """Train one client as a one-client federation (in-process)."""
+    clients, model_config, kwargs = _worker_solo if solo is None else solo
+    return run_federated([clients[position]], model_config, **kwargs)
+
+
+def train_alone(clients: list[ClientState], model_config: nn.ModelConfig,
+                **kwargs) -> list[tuple[nn.Model, list[RoundLog]]]:
+    """Train every client as its own one-client federation.
+
+    The trainings are independent, so with several clients they run in a
+    fork pool of ``worker_count`` processes, largest client first, closed
+    before this returns or raises. Results come back in client order.
     """
+    solo = (clients, model_config, kwargs)
+    workers = worker_count(len(clients))
+    if workers <= 1:
+        return [_solo_task(position, solo) for position in range(len(clients))]
+    order = sorted(range(len(clients)), key=lambda i: -clients[i].n_k)
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, _set_worker_solo, solo)
+    try:
+        trained = pool.map(_solo_task, order, chunksize=1)
+    finally:
+        pool.terminate()
+        pool.join()
+    results = [None] * len(clients)
+    for position, result in zip(order, trained):
+        results[position] = result
+    return results
+
+
+def run_settings(settings, clients: list[ClientState],
+                 model_config: nn.ModelConfig, seed: int, rounds: int = 50,
+                 local_epochs: int = 3, batch_size: int = 64,
+                 lr: float = nn.ADAM_LR, patience: int = 3,
+                 min_delta: float = 1e-4, threshold: float = 0.5) -> dict:
+    """Train under each evaluation setting.
+
+    Returns {setting: ({name: Model}, {name: [RoundLog]})} in the order
+    of ``settings``: one model per ICU for Local, a single "federated" /
+    "central" entry otherwise. Local and Central run the same round loop
+    with a single client, so budgets (rounds x local_epochs) and early
+    stopping are directly comparable. Those one-client trainings (every
+    Local client and the Central pool) go to ``train_alone`` together;
+    Federated then trains its clients on its own per-round pool.
+    """
+    for setting in settings:
+        if setting not in ("local", "federated", "central"):
+            raise FederationError(f"unknown setting {setting!r}")
     kwargs = dict(seed=seed, rounds=rounds, local_epochs=local_epochs,
                   batch_size=batch_size, lr=lr, patience=patience,
                   min_delta=min_delta, threshold=threshold)
-    if setting == "federated":
-        model, logs = run_federated(clients, model_config, **kwargs)
-        return {"federated": model}, {"federated": logs}
-    if setting == "central":
-        pooled = pool_clients(clients)
-        model, logs = run_federated([pooled], model_config, **kwargs)
-        return {"central": model}, {"central": logs}
-    if setting == "local":
-        models, logs = {}, {}
-        for client in clients:
-            model, log = run_federated([client], model_config, **kwargs)
-            models[client.icu_id] = model
-            logs[client.icu_id] = log
-        return models, logs
-    raise FederationError(f"unknown setting {setting!r}")
+    solo = []  # (setting, name, client)
+    if "local" in settings:
+        solo += [("local", client.icu_id, client) for client in clients]
+    if "central" in settings:
+        solo.append(("central", "central", pool_clients(clients)))
+    trained = train_alone([client for _, _, client in solo], model_config,
+                          **kwargs)
+    out = {}
+    for setting in settings:
+        if setting == "federated":
+            model, logs = run_federated(clients, model_config, **kwargs)
+            out[setting] = {"federated": model}, {"federated": logs}
+            continue
+        runs = [(name, result) for (owner, name, _), result
+                in zip(solo, trained) if owner == setting]
+        out[setting] = ({name: model for name, (model, _) in runs},
+                        {name: logs for name, (_, logs) in runs})
+    return out
+
+
+def run_experiment(setting: str, clients: list[ClientState],
+                   model_config: nn.ModelConfig, seed: int, **kwargs):
+    """Train under one evaluation setting; see ``run_settings``.
+
+    Returns ({name: Model}, {name: [RoundLog]}).
+    """
+    return run_settings([setting], clients, model_config, seed, **kwargs)[setting]
 
 
 def convergence_rounds(logs: list[RoundLog], patience: int,

@@ -81,7 +81,8 @@ def roc_auc(probs, labels) -> float:
     distinct = np.r_[sorted_probs[1:] != sorted_probs[:-1], True]
     tpr = np.r_[0.0, tps[distinct] / n_pos]
     fpr = np.r_[0.0, fps[distinct] / n_neg]
-    return float(getattr(np, "trapezoid", np.trapz)(tpr, fpr))
+    trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
+    return float(trapezoid(tpr, fpr))
 
 
 @dataclass(frozen=True)

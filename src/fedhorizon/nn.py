@@ -13,6 +13,7 @@ the federated exchange format.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -103,13 +104,13 @@ def params_to_vector(params: dict[str, np.ndarray], layout) -> np.ndarray:
 
 
 def vector_to_params(vector: np.ndarray, layout) -> dict[str, np.ndarray]:
-    expected = sum(int(np.prod(shape)) for _, shape in layout)
+    sizes = [math.prod(shape) for _, shape in layout]
+    expected = sum(sizes)
     if vector.shape != (expected,):
         raise ModelError(f"vector length {vector.shape} != expected ({expected},)")
     params = {}
     offset = 0
-    for name, shape in layout:
-        size = int(np.prod(shape))
+    for (name, shape), size in zip(layout, sizes):
         params[name] = vector[offset : offset + size].reshape(shape).copy()
         offset += size
     return params
@@ -167,9 +168,16 @@ def _softmax(x, axis=-1):
 
 
 def _sigmoid(x):
-    # branch-free stable form: exp is only ever taken of -|x|
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # branch-free stable form: exp is only ever taken of -|x|, and each
+    # element divides 1 (x >= 0) or e (x < 0; e <= 1) by 1 + e; in-place
+    # steps spare the large temporaries of eval-size batches
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
 def attention_forward(params, X):
@@ -194,9 +202,12 @@ def _bn_forward(x, gamma, beta, running_mean, running_var, train, axes):
     else:
         mu, var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mu) * inv_std
-    return gamma * xhat + beta, {"xhat": xhat, "mu": mu, "var": var,
-                                 "inv_std": inv_std, "axes": axes}
+    xhat = x - mu
+    xhat *= inv_std
+    out = gamma * xhat
+    out += beta
+    return out, {"xhat": xhat, "mu": mu, "var": var, "inv_std": inv_std,
+                 "axes": axes}
 
 
 def _bn_backward(dy, gamma, cache):
@@ -207,6 +218,76 @@ def _bn_backward(dy, gamma, cache):
     dbeta = dy.sum(axis=axes)
     dx = (gamma * inv_std) * (dy - dbeta / n - xhat * (dgamma / n))
     return dx, dgamma, dbeta
+
+
+def _lstm_forward(layer_in, wx, wh, b, dtype, train):
+    """One LSTM layer over all time steps.
+
+    Returns the hidden states (B, T, H) and, in train mode, what backward
+    needs: the activated gates (B, T, 4H), sigmoid of i, f, o and tanh of
+    g, and the cell states (B, T, H); None for both in eval mode.
+    """
+    B, T, _ = layer_in.shape
+    H = wh.shape[0]
+    zx = layer_in @ wx
+    zx += b  # (B, T, 4H), input part of all steps
+    h = np.zeros((B, H), dtype=dtype)
+    c = np.zeros((B, H), dtype=dtype)
+    hs = np.empty((B, T, H), dtype=dtype)
+    gates = cells = None
+    if train:
+        gates = np.empty((B, T, 4 * H), dtype=dtype)
+        cells = np.empty_like(hs)
+    for t in range(T):
+        z = zx[:, t] + h @ wh
+        s = _sigmoid(z)  # one vectorized call; the g block is replaced
+        s[:, 2 * H : 3 * H] = np.tanh(z[:, 2 * H : 3 * H])
+        c = s[:, H : 2 * H] * c
+        c += s[:, :H] * s[:, 2 * H : 3 * H]
+        h = np.tanh(c)
+        h *= s[:, 3 * H :]
+        hs[:, t] = h
+        if train:
+            gates[:, t] = s
+            cells[:, t] = c
+    return hs, gates, cells
+
+
+def _lstm_backward(dh_seq, gates, cells, wh):
+    """Gradient (B, T, 4H) of one LSTM layer's gate pre-activations from
+    the gradient of its hidden states, through the recurrence."""
+    B, T, H = dh_seq.shape
+    # Everything off the recurrence, for all steps at once. The gate
+    # gradients are dz = (d * scale) * slope with d = (di, df, dg, do):
+    # scale, slope = s, 1 - s for the sigmoid gates i, f, o and
+    # 1, 1 - g**2 for the tanh gate g. di, df, dg = dc * (g, c_prev, i).
+    tanh_c = np.tanh(cells)
+    d_tanh_c = 1.0 - tanh_c**2
+    scale = gates.copy()
+    scale[..., 2 * H : 3 * H] = 1.0
+    slope = 1.0 - gates
+    slope[..., 2 * H : 3 * H] = 1.0 - gates[..., 2 * H : 3 * H] ** 2
+    partner = np.empty((B, T, 3, H), dtype=gates.dtype)
+    partner[:, :, 0] = gates[..., 2 * H : 3 * H]
+    partner[:, 0, 1] = 0.0
+    partner[:, 1:, 1] = cells[:, :-1]
+    partner[:, :, 2] = gates[..., :H]
+    dz_all = np.empty((B, T, 4 * H), dtype=dh_seq.dtype)
+    d_gate = np.empty((B, 4, H), dtype=np.result_type(dh_seq, gates, wh))
+    d_flat = d_gate.reshape(B, 4 * H)
+    dh_next = np.zeros((B, H), dtype=dh_seq.dtype)
+    dc_next = np.zeros((B, H), dtype=dh_seq.dtype)
+    for t in reversed(range(T)):
+        dh = dh_seq[:, t] + dh_next
+        dc = dh * gates[:, t, 3 * H :] * d_tanh_c[:, t] + dc_next
+        np.multiply(dc[:, None, :], partner[:, t], out=d_gate[:, :3])
+        np.multiply(dh, tanh_c[:, t], out=d_gate[:, 3])
+        d_flat *= scale[:, t]
+        dz = dz_all[:, t]
+        np.multiply(d_flat, slope[:, t], out=dz)
+        dh_next = dz @ wh.T
+        dc_next = dc * gates[:, t, H : 2 * H]
+    return dz_all
 
 
 def forward(params, X, mode, rng=None, buffers=None, config: ModelConfig = None):
@@ -234,7 +315,6 @@ def forward(params, X, mode, rng=None, buffers=None, config: ModelConfig = None)
         raise ModelError("train mode requires an rng for dropout")
     if buffers is None:
         buffers = init_buffers(config)
-    H = config.lstm_units
     keep = 1.0 - config.dropout
 
     context, (q, k, v, attn) = attention_forward(params, X)
@@ -242,30 +322,9 @@ def forward(params, X, mode, rng=None, buffers=None, config: ModelConfig = None)
 
     state = ForwardState(X=X, q=q, k=k, v=v, attn=attn)
     for layer in range(config.lstm_layers):
-        wx = params[f"lstm{layer}_wx"]
-        wh = params[f"lstm{layer}_wh"]
-        b = params[f"lstm{layer}_b"]
-        zx = layer_in @ wx + b  # (B, T, 4H), input contribution for all steps
-        h = np.zeros((B, H), dtype=X.dtype)
-        c = np.zeros((B, H), dtype=X.dtype)
-        gates_i = np.empty((B, T, H), dtype=X.dtype)
-        gates_f = np.empty_like(gates_i)
-        gates_g = np.empty_like(gates_i)
-        gates_o = np.empty_like(gates_i)
-        cells = np.empty_like(gates_i)
-        hs = np.empty_like(gates_i)
-        for t in range(T):
-            z = zx[:, t, :] + h @ wh
-            s = _sigmoid(z)  # one vectorized call; the g block is discarded
-            i_g = s[:, :H]
-            f_g = s[:, H : 2 * H]
-            g_g = np.tanh(z[:, 2 * H : 3 * H])
-            o_g = s[:, 3 * H :]
-            c = f_g * c + i_g * g_g
-            h = o_g * np.tanh(c)
-            gates_i[:, t], gates_f[:, t] = i_g, f_g
-            gates_g[:, t], gates_o[:, t] = g_g, o_g
-            cells[:, t], hs[:, t] = c, h
+        hs, gates, cells = _lstm_forward(
+            layer_in, params[f"lstm{layer}_wx"], params[f"lstm{layer}_wh"],
+            params[f"lstm{layer}_b"], X.dtype, train)
         normed, bn_cache = _bn_forward(
             hs, params[f"bn{layer}_gamma"], params[f"bn{layer}_beta"],
             buffers[f"bn{layer}_mean"], buffers[f"bn{layer}_var"],
@@ -283,8 +342,8 @@ def forward(params, X, mode, rng=None, buffers=None, config: ModelConfig = None)
             mask = None
             out = normed
         state.layers.append({
-            "input": layer_in, "i": gates_i, "f": gates_f, "g": gates_g,
-            "o": gates_o, "c": cells, "h": hs, "bn": bn_cache, "mask": mask,
+            "input": layer_in, "gates": gates, "c": cells, "h": hs,
+            "bn": bn_cache, "mask": mask,
         })
         layer_in = out
 
@@ -340,6 +399,8 @@ def backward(params, state: ForwardState, labels, pos_weight: float = 1.0,
         raise ModelError("config is required")
     if state.probs is None or len(state.layers) != config.lstm_layers:
         raise ModelError("stale or mismatched forward state")
+    if state.layers[0]["gates"] is None:
+        raise ModelError("backward needs a train-mode forward state")
     labels = np.asarray(labels, dtype=np.float64)
     if labels.shape != state.probs.shape:
         raise ModelError("labels do not match the forward batch")
@@ -368,7 +429,6 @@ def backward(params, state: ForwardState, labels, pos_weight: float = 1.0,
     grads["dense_b"] = d_dense_pre.sum(axis=0)
     du = d_dense_pre @ params["dense_w"].T
 
-    T = state.X.shape[1]
     d_layer_out = np.zeros_like(state.layers[-1]["h"])
     d_layer_out[:, -1, :] = du
 
@@ -383,29 +443,9 @@ def backward(params, state: ForwardState, labels, pos_weight: float = 1.0,
         grads[f"bn{layer}_beta"] = dbeta
 
         wx = params[f"lstm{layer}_wx"]
-        wh = params[f"lstm{layer}_wh"]
         x_in = cache["input"]
-        i_g, f_g, g_g, o_g = cache["i"], cache["f"], cache["g"], cache["o"]
-        cells = cache["c"]
-        dz_all = np.empty((B, T, 4 * H), dtype=dh_seq.dtype)
-        dh_next = np.zeros((B, H), dtype=dh_seq.dtype)
-        dc_next = np.zeros((B, H), dtype=dh_seq.dtype)
-        for t in reversed(range(T)):
-            dh = dh_seq[:, t] + dh_next
-            tanh_c = np.tanh(cells[:, t])
-            do = dh * tanh_c
-            dc = dh * o_g[:, t] * (1.0 - tanh_c**2) + dc_next
-            c_prev = cells[:, t - 1] if t > 0 else np.zeros_like(dc)
-            di = dc * g_g[:, t]
-            dg = dc * i_g[:, t]
-            df = dc * c_prev
-            dz = dz_all[:, t]
-            dz[:, :H] = di * i_g[:, t] * (1.0 - i_g[:, t])
-            dz[:, H : 2 * H] = df * f_g[:, t] * (1.0 - f_g[:, t])
-            dz[:, 2 * H : 3 * H] = dg * (1.0 - g_g[:, t] ** 2)
-            dz[:, 3 * H :] = do * o_g[:, t] * (1.0 - o_g[:, t])
-            dh_next = dz @ wh.T
-            dc_next = dc * f_g[:, t]
+        dz_all = _lstm_backward(dh_seq, cache["gates"], cache["c"],
+                                params[f"lstm{layer}_wh"])
         h_prev = np.concatenate(
             [np.zeros((B, 1, H), dtype=dh_seq.dtype), cache["h"][:, :-1]], axis=1)
         grads[f"lstm{layer}_wx"] = x_in.reshape(-1, x_in.shape[-1]).T @ dz_all.reshape(-1, dz_all.shape[-1])
@@ -432,8 +472,8 @@ def backward(params, state: ForwardState, labels, pos_weight: float = 1.0,
     grads["attn_bv"] = dV.sum(axis=(0, 1))
     # dX itself is not needed: inputs are data, not parameters.
 
-    return {name: grads[name].astype(params[name].dtype) for name, _ in
-            param_layout(config)}
+    return {name: grads[name].astype(params[name].dtype, copy=False)
+            for name, _ in param_layout(config)}
 
 
 # ---------------------------------------------------------------------------

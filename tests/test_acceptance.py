@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from fedhorizon import experiment, nn
+from fedhorizon import experiment, federation, nn
 from fedhorizon.cohort import PatientStay
 from fedhorizon.config import resolve_config
 from fedhorizon.federation import (
@@ -308,11 +308,11 @@ def test_criterion_8_fixed_window_comparison(full_run):
 
 
 # ---------------------------------------------------------------------------
-# criterion 9: byte-identical reports, sequential and parallel
+# criterion 9: byte-identical reports, pooled and in-process
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path, monkeypatch):
     import os
 
     start = time.time()
@@ -324,12 +324,16 @@ def test_criterion_9_determinism(tmp_path):
     partition = generate_cohort(cfg.synth)
 
     dirs = {}
-    for name, parallel in (("seq_a", 1), ("seq_b", 1), ("par", 2)):
+    for name in ("seq_a", "seq_b", "in_process"):
         run_cfg = resolve_config(overrides=overrides)
         run_cfg.synth.counts.update({icu: 14 for icu in ICU_NAMES})
-        run_cfg.parallel_folds = parallel
-        result = experiment.run_all_folds(partition, run_cfg,
-                                          include_fixed=True)
+        with monkeypatch.context() as patch:
+            if name == "in_process":
+                # every client task in this process instead of a worker pool
+                patch.setattr(federation, "worker_count",
+                              lambda n_clients: 1)
+            result = experiment.run_all_folds(partition, run_cfg,
+                                              include_fixed=True)
         out = tmp_path / name
         experiment.emit_reports(result, str(out))
         dirs[name] = out
@@ -338,11 +342,11 @@ def test_criterion_9_determinism(tmp_path):
     files = sorted(os.listdir(dirs["seq_a"]))
     for fname in files:
         ref = (dirs["seq_a"] / fname).read_bytes()
-        for other in ("seq_b", "par"):
+        for other in ("seq_b", "in_process"):
             if (dirs[other] / fname).read_bytes() != ref:
                 mismatches.append(f"{other}/{fname}")
     elapsed = time.time() - start
     _report(9, bool(files) and not mismatches,
             f"{len(files)} report files byte-identical across a repeated "
-            f"sequential run and a parallel-fold run; mismatches: "
+            f"run and a run with every client task in-process; mismatches: "
             f"{mismatches or 'none'}; {elapsed:.1f}s")

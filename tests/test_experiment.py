@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from fedhorizon import experiment
+from fedhorizon import experiment, federation
 from fedhorizon.config import resolve_config
 from fedhorizon.schema import ICU_NAMES, INPUT_WINDOW
 from fedhorizon.synthgen import SynthConfig, generate_cohort
@@ -98,11 +98,15 @@ class TestRunAllFolds:
     def test_aggregate_covers_all_cells(self, run):
         assert set(run.aggregate.mean) == set(run.fold_results[0].report)
 
-    def test_parallel_matches_sequential(self, tiny_partition, run):
-        cfg = tiny_config(parallel_folds=2)
-        par = experiment.run_all_folds(tiny_partition, cfg)
-        for seq_fr, par_fr in zip(run.fold_results, par.fold_results):
+    def test_parallel_matches_sequential(self, tiny_partition, run,
+                                         monkeypatch):
+        """Pooled client tasks (the `run` fixture) reproduce in-process
+        training."""
+        monkeypatch.setattr(federation, "worker_count", lambda n_clients: 1)
+        seq = experiment.run_all_folds(tiny_partition, tiny_config())
+        for par_fr, seq_fr in zip(run.fold_results, seq.fold_results):
             assert seq_fr.report == par_fr.report
+            assert seq_fr.round_logs == par_fr.round_logs
 
     def test_emit_reports_byte_deterministic(self, run, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

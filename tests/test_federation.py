@@ -1,9 +1,12 @@
+import multiprocessing
+from multiprocessing.pool import RemoteTraceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedhorizon import nn
+from fedhorizon import federation, nn
 from fedhorizon.federation import (
     ClientState, FederationError, RoundLog, check_convergence, client_seed,
     convergence_rounds, fedavg_aggregate, filter_client_horizon, pool_clients,
@@ -200,6 +203,86 @@ class TestRunFederated:
     def test_no_clients_rejected(self):
         with pytest.raises(FederationError):
             run_federated([], MODEL_CONFIG, seed=5, rounds=1)
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def one_worker_per_client(self, monkeypatch):
+        """Pool every multi-client run, whatever the host's CPU count."""
+        monkeypatch.setattr(federation, "worker_count", lambda n_clients: n_clients)
+
+    def test_worker_count_bounded_by_clients(self):
+        assert federation.worker_count(1) == 1
+        assert 1 <= federation.worker_count(64) <= 64
+
+    def test_pooled_run_equals_serial_reference(self, one_worker_per_client):
+        clients = [make_client(i, n=20 + 6 * i) for i in range(3)]
+        fed_model, logs = run_federated(clients, MODEL_CONFIG, seed=5,
+                                        rounds=2, early_stop=False)
+        reference = nn.Model(MODEL_CONFIG)
+        for round_index, log in enumerate(logs, start=1):
+            params, buffers, losses = [], [], {}
+            for client in clients:
+                local = reference.copy()
+                nn.train_epochs(local, client.X_train, client.y_train,
+                                epochs=3, batch_size=64,
+                                seed=client_seed(5, client.index, round_index),
+                                lr=nn.ADAM_LR, pos_weight=client.pos_weight)
+                params.append((local.to_vector(), client.n_k))
+                buffers.append((local.buffers_to_vector(), client.n_k))
+                losses[client.icu_id] = nn.loss(
+                    local.predict_proba(client.X_train), client.y_train,
+                    pos_weight=client.pos_weight)
+            reference = reference.copy()
+            reference.from_vector(fedavg_aggregate(params))
+            reference.buffers_from_vector(fedavg_aggregate(buffers))
+            assert log.client_losses == losses
+        assert np.array_equal(fed_model.to_vector(), reference.to_vector())
+        assert np.array_equal(fed_model.buffers_to_vector(),
+                              reference.buffers_to_vector())
+
+    def test_no_worker_left_after_return(self, one_worker_per_client):
+        run_federated([make_client(0), make_client(1)], MODEL_CONFIG, seed=5,
+                      rounds=1)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_names_client_and_round(self, one_worker_per_client):
+        clients = [make_client(0), make_client(1), make_client(2)]
+        clients[1].X_train[3, 2, 1] = np.nan
+        with pytest.raises(FederationError,
+                           match="client icu1 failed in round 1") as info:
+            run_federated(clients, MODEL_CONFIG, seed=5, rounds=2)
+        assert isinstance(info.value.__cause__, RemoteTraceback)
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_settings_equal_in_process(self, one_worker_per_client,
+                                              monkeypatch):
+        clients = [make_client(i, n=20 + 6 * i) for i in range(3)]
+        pooled = federation.run_settings(("local", "central"), clients,
+                                         MODEL_CONFIG, seed=5, rounds=2)
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(federation, "worker_count", lambda n_clients: 1)
+        alone = federation.run_settings(("local", "central"), clients,
+                                        MODEL_CONFIG, seed=5, rounds=2)
+        assert list(pooled) == ["local", "central"]
+        assert list(pooled["local"][0]) == ["icu0", "icu1", "icu2"]
+        for setting in pooled:
+            models, logs = pooled[setting]
+            ref_models, ref_logs = alone[setting]
+            assert logs == ref_logs
+            for name, model in models.items():
+                assert np.array_equal(model.to_vector(),
+                                      ref_models[name].to_vector())
+                assert np.array_equal(model.buffers_to_vector(),
+                                      ref_models[name].buffers_to_vector())
+
+    def test_solo_error_names_client(self, one_worker_per_client):
+        clients = [make_client(0), make_client(1), make_client(2)]
+        clients[2].X_train[0, 0, 0] = np.inf
+        with pytest.raises(FederationError,
+                           match="client icu2 failed in round 1"):
+            run_experiment("local", clients, MODEL_CONFIG, seed=5, rounds=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestPoolClients:

@@ -178,6 +178,99 @@ class TestBackward:
         with pytest.raises(nn.ModelError):
             nn.backward(model.params, state, y[:-1], config=TINY)
 
+    def test_eval_state_rejected(self):
+        model = nn.Model(TINY)
+        X, y = _batch(np.random.default_rng(9))
+        _, state = nn.forward(model.params, X, "eval", buffers=model.buffers,
+                              config=TINY)
+        with pytest.raises(nn.ModelError, match="train-mode"):
+            nn.backward(model.params, state, y, config=TINY)
+
+
+def _reference_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _reference_lstm_forward(layer_in, wx, wh, b):
+    """Plain per-gate loop: hidden states, gates (i, f, g, o) and cells."""
+    B, T, _ = layer_in.shape
+    H = wh.shape[0]
+    zx = layer_in @ wx + b
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    out = {name: np.empty((B, T, H)) for name in "ifgoch"}
+    for t in range(T):
+        z = zx[:, t, :] + h @ wh
+        s = _reference_sigmoid(z)
+        i_g, f_g, o_g = s[:, :H], s[:, H:2 * H], s[:, 3 * H:]
+        g_g = np.tanh(z[:, 2 * H:3 * H])
+        c = f_g * c + i_g * g_g
+        h = o_g * np.tanh(c)
+        for name, value in zip("ifgoch", (i_g, f_g, g_g, o_g, c, h)):
+            out[name][:, t] = value
+    return out
+
+
+def _reference_lstm_backward(dh_seq, ref, wh):
+    """Plain per-gate loop for the gate pre-activation gradients."""
+    B, T, H = dh_seq.shape
+    i_g, f_g, g_g, o_g, cells = (ref[name] for name in "ifgoc")
+    dz_all = np.empty((B, T, 4 * H))
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
+    for t in reversed(range(T)):
+        dh = dh_seq[:, t] + dh_next
+        tanh_c = np.tanh(cells[:, t])
+        do = dh * tanh_c
+        dc = dh * o_g[:, t] * (1.0 - tanh_c**2) + dc_next
+        c_prev = cells[:, t - 1] if t > 0 else np.zeros_like(dc)
+        dz = dz_all[:, t]
+        dz[:, :H] = dc * g_g[:, t] * i_g[:, t] * (1.0 - i_g[:, t])
+        dz[:, H:2 * H] = dc * c_prev * f_g[:, t] * (1.0 - f_g[:, t])
+        dz[:, 2 * H:3 * H] = dc * i_g[:, t] * (1.0 - g_g[:, t] ** 2)
+        dz[:, 3 * H:] = do * o_g[:, t] * (1.0 - o_g[:, t])
+        dh_next = dz @ wh.T
+        dc_next = dc * f_g[:, t]
+    return dz_all
+
+
+class TestLstmLayer:
+    """The vectorized layer does the per-gate loop's arithmetic in the same
+    order, so both agree bit for bit."""
+
+    def _layer(self, seed):
+        rng = np.random.default_rng(seed)
+        B, T, F, H = 9, 6, 5, 4
+        return (rng.normal(size=(B, T, F)), rng.normal(size=(F, 4 * H)),
+                rng.normal(size=(H, 4 * H)), rng.normal(size=4 * H),
+                rng.normal(size=(B, T, H)))
+
+    def test_sigmoid_matches_two_sided_form(self):
+        x = np.concatenate([np.random.default_rng(13).normal(size=999) * 10,
+                            [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf]])
+        assert np.array_equal(nn._sigmoid(x), _reference_sigmoid(x))
+
+    def test_forward_matches_per_gate_loop(self):
+        x, wx, wh, b, _ = self._layer(14)
+        ref = _reference_lstm_forward(x, wx, wh, b)
+        hs, gates, cells = nn._lstm_forward(x, wx, wh, b, x.dtype, train=True)
+        assert np.array_equal(hs, ref["h"])
+        assert np.array_equal(cells, ref["c"])
+        assert np.array_equal(gates, np.concatenate(
+            [ref[name] for name in "ifgo"], axis=-1))
+        hs_eval, gates_eval, cells_eval = nn._lstm_forward(
+            x, wx, wh, b, x.dtype, train=False)
+        assert np.array_equal(hs_eval, ref["h"])
+        assert gates_eval is None and cells_eval is None
+
+    def test_backward_matches_per_gate_loop(self):
+        x, wx, wh, b, dh_seq = self._layer(15)
+        ref = _reference_lstm_forward(x, wx, wh, b)
+        _, gates, cells = nn._lstm_forward(x, wx, wh, b, x.dtype, train=True)
+        assert np.array_equal(nn._lstm_backward(dh_seq, gates, cells, wh),
+                              _reference_lstm_backward(dh_seq, ref, wh))
+
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
