@@ -169,7 +169,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", dest="data_dir", help="dataset output directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="validate a CSV dataset")
+    p = sub.add_parser(
+        "ingest", help="validate a CSV dataset",
+        description="Read static.csv, timeseries.csv and labels.csv, check "
+                    "them and print a per-ICU summary. The time series is "
+                    "read as whole NumPy columns and aggregated onto the "
+                    "30-hour grids in one pass (latest measurement in an "
+                    "hour wins, file order breaks ties).",
+        epilog="CSV dialect: comma-separated, header on the first line, one "
+               "record per line; a field may be double-quoted to hold "
+               "commas (a doubled quote inside stands for one); blank lines "
+               "are skipped; '#' is ordinary text. Numbers must be finite: "
+               "a nan or inf hour_offset or value, or los_hours, age, "
+               "height or weight, is rejected, as are a wrong field count, "
+               "an unknown stay or feature and a negative hour_offset. "
+               "Every error names the file and physical line (exit 2).")
     p.add_argument("static", help="static CSV path")
     p.add_argument("timeseries", help="timeseries CSV path")
     p.add_argument("labels", help="labels CSV path")

@@ -2,17 +2,23 @@
 
 Turns raw per-stay observations into fixed 30x26 hourly grids partitioned
 by ICU, with inclusion filtering, hourly aggregation, imputation and
-patient-level stratified fold assignment.
+patient-level stratified fold assignment. Aggregation and imputation work
+on whole columns and on stacks of grids of shape (N, 30, F); the one-stay
+functions are thin wrappers over the stacked ones.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .schema import FeatureSchema, ICU_NAMES, N_HOURS, SchemaError, default_schema
+from .schema import FeatureSchema, ICU_NAMES, N_HOURS, STATIC_FEATURES, \
+    SchemaError, default_schema
 
 EXCLUDED_ICUS = {"NICU", "PICU"}  # neonatal / pediatric
 
@@ -95,84 +101,134 @@ def apply_inclusion(stays: list[PatientStay]) -> list[PatientStay]:
     return kept
 
 
+def aggregate_hours(stay: np.ndarray, hour: np.ndarray, feature: np.ndarray,
+                    value: np.ndarray, n_stays: int, n_features: int):
+    """Aggregate observation columns onto stacked 30-hour grids.
+
+    Row i measures feature ``feature[i]`` of grid ``stay[i]`` at the finite,
+    non-negative ``hour[i]``. Within each 1-hour bucket the most recent
+    measurement wins; identical timestamps are broken by row order (later
+    row wins). Rows at or past hour 30 are ignored.
+
+    Returns (grid, observed) of shape (n_stays, 30, n_features); unobserved
+    cells are nan.
+    """
+    keep = hour < N_HOURS
+    hour = hour[keep]
+    cell = ((stay[keep] * N_HOURS + hour.astype(np.intp)) * n_features
+            + feature[keep])
+    # by cell, then by hour; lexsort is stable, so equal hours keep row order
+    order = np.lexsort((hour, cell))
+    cell = cell[order]
+    last = np.ones(cell.shape, dtype=bool)  # the last row of a cell wins
+    last[:-1] = cell[1:] != cell[:-1]
+    size = n_stays * N_HOURS * n_features
+    grid = np.full(size, np.nan)
+    observed = np.zeros(size, dtype=bool)
+    grid[cell[last]] = value[keep][order[last]]
+    observed[cell[last]] = True
+    shape = (n_stays, N_HOURS, n_features)
+    return grid.reshape(shape), observed.reshape(shape)
+
+
 def hourly_aggregate(
     observations: list[RawObservation], schema: FeatureSchema | None = None
 ):
-    """Aggregate raw observations onto the 30-hour grid.
-
-    Within each 1-hour bucket the most recent measurement wins; identical
-    timestamps are broken by input order (later record wins). Observations
-    at or past hour 30 are ignored.
-
-    Returns (grid, observed) of shape (30, F); unobserved cells are nan.
-    """
+    """One stay's observations on the 30-hour grid: ``aggregate_hours`` for
+    a single grid. Returns (grid, observed) of shape (30, F)."""
     schema = schema or default_schema()
-    grid = np.full((N_HOURS, schema.n_features), np.nan)
-    observed = np.zeros((N_HOURS, schema.n_features), dtype=bool)
-    best_ts = np.full((N_HOURS, schema.n_features), -np.inf)
     for obs in observations:
         if obs.feature not in schema:
             raise SchemaError(f"rejected observation: unknown feature {obs.feature!r}")
+        if not math.isfinite(obs.hour_offset):
+            raise CohortError(
+                f"non-finite hour_offset {obs.hour_offset} for stay {obs.stay_id}"
+            )
         if obs.hour_offset < 0:
             raise CohortError(
                 f"negative hour_offset {obs.hour_offset} for stay {obs.stay_id}"
             )
-        if obs.hour_offset >= N_HOURS:
-            continue
-        h = int(obs.hour_offset)
-        f = schema.index(obs.feature)
-        if obs.hour_offset >= best_ts[h, f]:  # >= : file order breaks ties
-            best_ts[h, f] = obs.hour_offset
-            grid[h, f] = obs.value
-            observed[h, f] = True
-    return grid, observed
+    grid, observed = aggregate_hours(
+        np.zeros(len(observations), dtype=np.intp),
+        np.array([o.hour_offset for o in observations], dtype=np.float64),
+        np.array([schema.index(o.feature) for o in observations], dtype=np.intp),
+        np.array([o.value for o in observations], dtype=np.float64),
+        1, schema.n_features,
+    )
+    return grid[0], observed[0]
+
+
+def impute_grids(grids: np.ndarray, observed: np.ndarray,
+                 training_means: np.ndarray) -> np.ndarray:
+    """Fill the missing cells of a (N, 30, F) stack: linear interpolation
+    inside, nearest value at the edges, per-feature training mean for fully
+    missing columns.
+
+    Interior cells use np.interp's own formula, slope * (t - t0) + y0 with
+    slope = (y1 - y0) / (t1 - t0) between the observed hours t0 < t < t1, so
+    on finite values the result equals a per-column np.interp bit for bit.
+    Observed cells are never altered. Returns a new complete stack.
+    """
+    n_stays, n_hours, n_features = grids.shape
+    if training_means.shape != (n_features,):
+        raise CohortError("training_means length does not match feature count")
+    empty = ~observed.any(axis=1)  # (N, F) columns without a measurement
+    unfillable = empty & ~np.isfinite(training_means)
+    if unfillable.any():
+        stay, f = np.argwhere(unfillable)[0]
+        raise CohortError(
+            f"feature column {f} fully missing and no training mean available"
+            f" (grid {stay})"
+        )
+    hours = np.arange(n_hours)[:, None]
+    # last observed hour at or before t (-1: none), first at or after t (n_hours: none)
+    prev = np.maximum.accumulate(np.where(observed, hours, -1), axis=1)
+    after = np.where(observed, hours, n_hours)[:, ::-1]
+    nxt = np.minimum.accumulate(after, axis=1)[:, ::-1]
+    y0 = np.take_along_axis(grids, np.maximum(prev, 0), axis=1)
+    y1 = np.take_along_axis(grids, np.minimum(nxt, n_hours - 1), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # nan or inf only in cells the edge and observed rules below replace
+        slope = (y1 - y0) / (nxt - prev)
+        out = slope * (hours - prev) + y0
+    out = np.where(prev < 0, y1, out)  # before the first observation
+    out = np.where(nxt == n_hours, y0, out)  # after the last
+    out = np.where(observed, grids, out)
+    return np.where(empty[:, None, :], training_means, out)
 
 
 def impute(grid: np.ndarray, observed: np.ndarray, training_means: np.ndarray):
-    """Fill missing cells: linear interpolation inside, nearest value at the
-    edges, per-feature training mean for fully missing columns.
+    """One grid's ``impute_grids``: a new complete (30, F) grid."""
+    return impute_grids(grid[None], observed[None], training_means)[0]
 
-    Observed cells are never altered. Returns a new complete grid.
-    """
-    n_hours, n_features = grid.shape
-    if training_means.shape != (n_features,):
-        raise CohortError("training_means length does not match feature count")
-    out = grid.copy()
-    hours = np.arange(n_hours)
-    for f in range(n_features):
-        col_obs = observed[:, f]
-        if not col_obs.any():
-            if not np.isfinite(training_means[f]):
-                raise CohortError(
-                    f"feature column {f} fully missing and no training mean available"
-                )
-            out[:, f] = training_means[f]
-            continue
-        if col_obs.all():
-            continue
-        # np.interp does linear interpolation inside and constant
-        # (nearest-value) extension outside the observed range.
-        out[~col_obs, f] = np.interp(
-            hours[~col_obs], hours[col_obs], grid[col_obs, f]
-        )
-    return out
+
+def stack_stays(stays: list[PatientStay], n_features: int):
+    """(grids, observed) of the stays as (N, 30, F) stacks, in stay order."""
+    grids = np.empty((len(stays), N_HOURS, n_features))
+    observed = np.empty((len(stays), N_HOURS, n_features), dtype=bool)
+    for i, s in enumerate(stays):
+        grids[i] = s.grid
+        observed[i] = s.observed
+    return grids, observed
+
+
+def feature_means(grids: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Per-feature mean over the observed cells of a (N, 30, F) stack; nan
+    for a feature observed nowhere."""
+    # summed per stay, then over stays in order, as a running total would
+    total = np.where(observed, grids, 0.0).sum(axis=1).sum(axis=0)
+    count = observed.sum(axis=1).sum(axis=0)
+    means = np.full(grids.shape[2], np.nan)
+    nonzero = count > 0
+    means[nonzero] = total[nonzero] / count[nonzero]
+    return means
 
 
 def training_feature_means(stays: list[PatientStay]) -> np.ndarray:
     """Per-feature mean over observed cells of the given (training) stays."""
     if not stays:
         raise CohortError("cannot compute feature means from an empty training split")
-    n_features = stays[0].grid.shape[1]
-    total = np.zeros(n_features)
-    count = np.zeros(n_features)
-    for s in stays:
-        obs = s.observed
-        total += np.where(obs, s.grid, 0.0).sum(axis=0)
-        count += obs.sum(axis=0)
-    means = np.full(n_features, np.nan)
-    nonzero = count > 0
-    means[nonzero] = total[nonzero] / count[nonzero]
-    return means
+    return feature_means(*stack_stays(stays, stays[0].grid.shape[1]))
 
 
 def impute_stay(stay: PatientStay, training_means: np.ndarray) -> PatientStay:
@@ -184,6 +240,12 @@ def impute_stay(stay: PatientStay, training_means: np.ndarray) -> PatientStay:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
+#
+# Dialect: comma-separated, the header on the first line, one record per
+# line. A field may be double-quoted to hold commas, and a doubled quote
+# inside a quoted field stands for one. Blank lines are skipped but still
+# counted, so error messages name physical lines. '#' is ordinary text.
+# Numbers must be finite.
 
 STATIC_HEADER = [
     "stay_id", "patient_id", "icu", "stay_index", "los_hours",
@@ -193,113 +255,217 @@ TIMESERIES_HEADER = ["stay_id", "hour_offset", "feature", "value"]
 LABELS_HEADER = ["stay_id", "sepsis_onset_hour"]
 
 
-def _read_rows(path, expected_header):
-    with open(path, newline="") as fh:
+def _check_header(path, line: str, expected_header) -> None:
+    if line == "":
+        raise CohortError(f"{path}: empty file")
+    header = next(csv.reader([line]), [])
+    if header != expected_header:
+        raise CohortError(f"{path}: bad header {header}; expected {expected_header}")
+
+
+def _records(path, expected_header):
+    """(physical line, fields) of each non-blank record after the header."""
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        _check_header(path, fh.readline(), expected_header)
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CohortError(f"{path}: empty file") from None
-        if header != expected_header:
-            raise CohortError(
-                f"{path}: bad header {header}; expected {expected_header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise CohortError(f"{path}:{lineno}: expected "
-                                  f"{len(expected_header)} fields, got {len(row)}")
-            yield lineno, row
+        for row in reader:
+            if row:
+                yield reader.line_num + 1, row
 
 
-def ingest_csv(static_path, timeseries_path, labels_path) -> CohortPartition:
-    """Parse, validate, filter, aggregate and partition the three CSVs.
+def _read_rows(path, expected_header):
+    for lineno, row in _records(path, expected_header):
+        if len(row) != len(expected_header):
+            raise CohortError(f"{path}:{lineno}: expected "
+                              f"{len(expected_header)} fields, got {len(row)}")
+        yield lineno, row
 
-    Output grids are pre-imputation (missing cells nan). Deterministic
-    given the input files.
-    """
-    schema = default_schema()
 
-    candidates: dict[str, PatientStay] = {}
-    static_values: dict[str, dict[str, float]] = {}
-    order: list[str] = []
-    for lineno, row in _read_rows(static_path, STATIC_HEADER):
+def _finite(text: str, name: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise CohortError(f"non-finite {name} {text!r}")
+    return value
+
+
+def _read_static(path, schema: FeatureSchema):
+    """Candidate stays, without grids, and their static feature values as
+    an (N, 6) array in STATIC_FEATURES order."""
+    stays: list[PatientStay] = []
+    values: list[list[float]] = []
+    seen: set[str] = set()
+    for lineno, row in _read_rows(path, STATIC_HEADER):
         rec = dict(zip(STATIC_HEADER, row))
         sid = rec["stay_id"]
-        if sid in candidates:
-            raise CohortError(f"{static_path}:{lineno}: duplicate stay_id {sid!r}")
+        if sid in seen:
+            raise CohortError(f"{path}:{lineno}: duplicate stay_id {sid!r}")
         try:
             stay = PatientStay(
                 stay_id=sid,
                 patient_id=rec["patient_id"],
                 icu_id=rec["icu"],
                 stay_index=int(rec["stay_index"]),
-                length_of_stay=float(rec["los_hours"]),
+                length_of_stay=_finite(rec["los_hours"], "los_hours"),
                 grid=np.empty(0),
                 observed=np.empty(0),
             )
-            static_values[sid] = {
-                "gender": schema["gender"].encode(rec["gender"]),
-                "ethnicity": schema["ethnicity"].encode(rec["ethnicity"]),
-                "age": float(rec["age"]),
-                "height": float(rec["height"]),
-                "weight": float(rec["weight"]),
-                "diabetes": float(int(rec["diabetes"])),
-            }
+            values.append([
+                schema["gender"].encode(rec["gender"]),
+                schema["ethnicity"].encode(rec["ethnicity"]),
+                _finite(rec["age"], "age"),
+                _finite(rec["height"], "height"),
+                _finite(rec["weight"], "weight"),
+                float(int(rec["diabetes"])),
+            ])
         except (ValueError, SchemaError) as exc:
-            raise CohortError(f"{static_path}:{lineno}: {exc}") from None
-        candidates[sid] = stay
-        order.append(sid)
+            raise CohortError(f"{path}:{lineno}: {exc}") from None
+        seen.add(sid)
+        stays.append(stay)
+    return stays, np.array(values, dtype=np.float64).reshape(
+        len(stays), len(STATIC_FEATURES))
 
-    obs_by_stay: dict[str, list[RawObservation]] = {sid: [] for sid in candidates}
-    for lineno, row in _read_rows(timeseries_path, TIMESERIES_HEADER):
-        sid, hour, feature, value = row
-        if sid not in candidates:
-            raise CohortError(
-                f"{timeseries_path}:{lineno}: unknown stay_id {sid!r}"
-            )
-        if feature not in schema:
-            raise CohortError(
-                f"{timeseries_path}:{lineno}: unknown feature {feature!r}"
-            )
-        try:
-            obs = RawObservation(sid, feature, float(hour), float(value))
-        except ValueError as exc:
-            raise CohortError(f"{timeseries_path}:{lineno}: {exc}") from None
-        if obs.hour_offset < 0:
-            raise CohortError(
-                f"{timeseries_path}:{lineno}: negative hour_offset {obs.hour_offset}"
-            )
-        obs_by_stay[sid].append(obs)
 
+def _lookup(names: list[str], column: np.ndarray) -> np.ndarray:
+    """Index into ``names`` of each entry of a bytes column, -1 where absent.
+
+    The column is looked up run by run, so a file grouped by stay costs one
+    search per stay, not per row.
+    """
+    if column.size == 0 or not names:
+        return np.full(column.shape, -1, dtype=np.intp)
+    known = np.array([n.encode() for n in names], dtype=bytes)
+    order = np.argsort(known, kind="stable")
+    known = known[order]
+    starts = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
+    heads = column[starts]
+    pos = np.minimum(np.searchsorted(known, heads), len(known) - 1)
+    index = np.where(known[pos] == heads, order[pos], -1)
+    return np.repeat(index, np.diff(np.r_[starts, column.size]))
+
+
+def _is_number(text: str) -> bool:
+    """Whether np.loadtxt reads ``text`` as a float: Python's float syntax
+    without digit-group underscores."""
+    if "_" in text or not text.isascii():
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_unreadable(path) -> tuple[int, str] | None:
+    """Physical line and reason of the first time-series record that does not
+    split into four fields with numeric hour and value."""
+    for lineno, row in _records(path, TIMESERIES_HEADER):
+        if len(row) != len(TIMESERIES_HEADER):
+            return lineno, (f"expected {len(TIMESERIES_HEADER)} fields, "
+                            f"got {len(row)}")
+        for col in (1, 3):
+            if not _is_number(row[col]):
+                return lineno, (f"could not convert {TIMESERIES_HEADER[col]} "
+                                f"{row[col]!r} to float")
+    return None
+
+
+def _read_timeseries(path, stay_ids: list[str], schema: FeatureSchema):
+    """Columns of the time-series CSV, validated: stay index, hour offset,
+    feature index and value per row, in file order."""
+    # Strings one byte longer than every known name are truncated, never
+    # equal to a known name, so an over-long field still reads as unknown.
+    stay_width = max([len(s.encode()) for s in stay_ids] + [0]) + 1
+    feature_width = max(len(n.encode()) for n in schema.names) + 1
+    dtype = [("stay_id", f"S{stay_width}"), ("hour_offset", "f8"),
+             ("feature", f"S{feature_width}"), ("value", "f8")]
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        _check_header(path, fh.readline(), TIMESERIES_HEADER)
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is valid: no observations
+            warnings.simplefilter("ignore", UserWarning)
+            # latin-1 maps every byte to one character, so the bytes fields
+            # hold the file's own (UTF-8) bytes
+            rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1,
+                              comments=None, quotechar='"', ndmin=1,
+                              encoding="latin-1")
+    except ValueError as exc:
+        found = _first_unreadable(path)
+        if found is None:
+            raise CohortError(f"{path}: {exc}") from None
+        raise CohortError(f"{path}:{found[0]}: {found[1]}") from None
+
+    stay = _lookup(stay_ids, rows["stay_id"])
+    feature = _lookup(schema.names, rows["feature"])
+    hour = np.ascontiguousarray(rows["hour_offset"])
+    value = np.ascontiguousarray(rows["value"])
+    bad = ((stay < 0) | (feature < 0) | ~np.isfinite(hour)
+           | ~np.isfinite(value) | (hour < 0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        lineno, row = next(itertools.islice(
+            _records(path, TIMESERIES_HEADER), k, None))
+        if stay[k] < 0:
+            problem = f"unknown stay_id {row[0]!r}"
+        elif feature[k] < 0:
+            problem = f"unknown feature {row[2]!r}"
+        elif not np.isfinite(hour[k]):
+            problem = f"non-finite hour_offset {row[1]!r}"
+        elif not np.isfinite(value[k]):
+            problem = f"non-finite value {row[3]!r}"
+        else:
+            problem = f"negative hour_offset {hour[k]}"
+        raise CohortError(f"{path}:{lineno}: {problem}")
+    return stay, hour, feature, value
+
+
+def _read_labels(path, stay_ids: set[str]) -> dict[str, float]:
     onset_hours: dict[str, float] = {}
-    for lineno, row in _read_rows(labels_path, LABELS_HEADER):
-        sid, onset = row
-        if sid not in candidates:
-            raise CohortError(f"{labels_path}:{lineno}: unknown stay_id {sid!r}")
+    for lineno, (sid, onset) in _read_rows(path, LABELS_HEADER):
+        if sid not in stay_ids:
+            raise CohortError(f"{path}:{lineno}: unknown stay_id {sid!r}")
         if onset.strip() == "":
             continue
-        onset_hour = float(onset)
+        try:
+            onset_hour = float(onset)
+        except ValueError as exc:
+            raise CohortError(f"{path}:{lineno}: {exc}") from None
         if not (0.0 < onset_hour <= N_HOURS):
             raise CohortError(
-                f"{labels_path}:{lineno}: sepsis_onset_hour {onset_hour} "
+                f"{path}:{lineno}: sepsis_onset_hour {onset_hour} "
                 f"outside (0, {N_HOURS}]"
             )
         onset_hours[sid] = onset_hour
+    return onset_hours
 
-    stays = []
-    for sid in order:
-        stay = candidates[sid]
-        grid, observed = hourly_aggregate(obs_by_stay[sid], schema)
-        for name, value in static_values[sid].items():
-            f = schema.index(name)
-            grid[:, f] = value
-            observed[:, f] = True
-        stay.grid = grid
-        stay.observed = observed
-        stay.sepsis_onset_hour = onset_hours.get(sid)
-        stays.append(stay)
+
+def ingest_csv(static_path, timeseries_path, labels_path) -> CohortPartition:
+    """Parse, validate, filter, aggregate and partition the three CSVs.
+
+    The time series is read as NumPy columns and aggregated onto one
+    (N, 30, F) stack of grids; each stay's grid and mask are views into
+    it. Output grids are pre-imputation (missing cells nan). A bad record
+    fails with a CohortError naming its file and physical line: a wrong
+    field count, an unparsable or non-finite number, an unknown stay or
+    feature, a negative hour offset or an onset outside (0, 30].
+    Deterministic given the input files.
+    """
+    schema = default_schema()
+    stays, static_values = _read_static(static_path, schema)
+    stay_ids = [s.stay_id for s in stays]
+    stay, hour, feature, value = _read_timeseries(timeseries_path, stay_ids,
+                                                  schema)
+    grid, observed = aggregate_hours(stay, hour, feature, value, len(stays),
+                                     schema.n_features)
+    static_cols = [schema.index(spec.name) for spec in STATIC_FEATURES]
+    grid[:, :, static_cols] = static_values[:, None, :]
+    observed[:, :, static_cols] = True
+    onset_hours = _read_labels(labels_path, set(stay_ids))
+
+    for i, s in enumerate(stays):
+        s.grid = grid[i]
+        s.observed = observed[i]
+        s.sepsis_onset_hour = onset_hours.get(s.stay_id)
 
     kept = apply_inclusion(stays)
     by_icu: dict[str, list[PatientStay]] = {icu: [] for icu in ICU_NAMES}
@@ -361,9 +527,15 @@ class Normalization:
     def fit(cls, stays: list[PatientStay]) -> "Normalization":
         if not stays:
             raise CohortError("cannot fit normalization on an empty split")
-        data = np.stack([s.grid for s in stays])  # (N, 30, F)
-        mean = data.mean(axis=(0, 1))
-        std = data.std(axis=(0, 1))
+        return cls.from_grids(np.stack([s.grid for s in stays]))
+
+    @classmethod
+    def from_grids(cls, grids: np.ndarray) -> "Normalization":
+        """Statistics over every hour of a (N, 30, F) stack of imputed grids."""
+        if len(grids) == 0:
+            raise CohortError("cannot fit normalization on an empty split")
+        mean = grids.mean(axis=(0, 1))
+        std = grids.std(axis=(0, 1))
         std = np.where(std < 1e-8, 1.0, std)
         return cls(mean=mean, std=std)
 

@@ -19,12 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import federation, nn, windowing
-from .cohort import CohortPartition, Normalization, impute_stay, make_splits, \
-    training_feature_means
+from .cohort import CohortPartition, Normalization, feature_means, \
+    impute_grids, make_splits, stack_stays
+from .cohort import impute_stay  # noqa: F401  (a name perfbench traces)
 from .config import ExperimentConfig, config_hash, persist_config
 from .metrics import DetectionRecord, aggregate_folds, confusion, eda, \
     earliest_detection, f1, fir, per_horizon_f1, roc_auc
-from .schema import ICU_NAMES, INPUT_WINDOW
+from .schema import ICU_NAMES
 
 
 @dataclass
@@ -34,7 +35,7 @@ class TestSet:
     y: np.ndarray
     horizons: np.ndarray
     window_ends: np.ndarray
-    patient_ids: list
+    patient_ids: np.ndarray  # per window
     septic_patients: list  # patient ids with sepsis onset in the test split
 
 
@@ -46,25 +47,17 @@ class FoldResult:
     fixed: dict | None = None  # horizon -> comparison payload
 
 
-def _sample_arrays(samples):
-    X = np.stack([s.features for s in samples])
-    y = np.array([s.label for s in samples], dtype=np.float64)
-    h = np.array([s.horizon for s in samples], dtype=np.int64)
-    ends = np.array([s.window_start + INPUT_WINDOW - 1 for s in samples],
-                    dtype=np.float64)
-    pids = [s.patient_id for s in samples]
-    return X, y, h, ends, pids
-
-
 def prepare_fold(partition: CohortPartition, fold: int, cfg: ExperimentConfig):
     """Build per-ICU clients (imputed, normalized, windowed) and test sets.
 
     Imputation means and z-score statistics come from the client's own
     training split; the validation carve-out is a stratified 10% of
-    training patients, used only for convergence checks.
+    training patients, used only for convergence checks. Each ICU's stays
+    are processed as one (N, 30, F) stack; the partition is left unchanged.
     """
     clients: list[federation.ClientState] = []
     test_sets: dict[str, TestSet] = {}
+    n_features = partition.schema.n_features
     for icu_index, icu in enumerate(ICU_NAMES):
         if icu not in partition.stays_by_icu or not partition.stays_by_icu[icu]:
             continue
@@ -72,47 +65,47 @@ def prepare_fold(partition: CohortPartition, fold: int, cfg: ExperimentConfig):
         if not train_stays:
             raise federation.FederationError(
                 f"ICU {icu}: empty training split in fold {fold}")
-        means = training_feature_means(train_stays)
-        train_imp = [impute_stay(s, means) for s in train_stays]
-        test_imp = [impute_stay(s, means) for s in test_stays]
-        norm = Normalization.fit(train_imp)
-        for stay in train_imp + test_imp:
-            stay.grid = norm.apply(stay.grid)
+        train_grids, train_observed = stack_stays(train_stays, n_features)
+        test_grids, test_observed = stack_stays(test_stays, n_features)
+        means = feature_means(train_grids, train_observed)
+        train_grids = impute_grids(train_grids, train_observed, means)
+        test_grids = impute_grids(test_grids, test_observed, means)
+        norm = Normalization.from_grids(train_grids)
+        train_grids = norm.apply(train_grids)
+        test_grids = norm.apply(test_grids)
+        train_onsets = windowing.stay_onsets(train_stays)
 
         rng = np.random.default_rng([cfg.seed, fold, icu_index, 0x5A11])
-        pos = [s for s in train_imp if s.septic]
-        neg = [s for s in train_imp if not s.septic]
+        pos = [i for i, s in enumerate(train_stays) if s.septic]
+        neg = [i for i, s in enumerate(train_stays) if not s.septic]
         rng.shuffle(pos)
         rng.shuffle(neg)
         n_val_pos = max(1, round(cfg.val_fraction * len(pos))) if pos else 0
         n_val_neg = max(1, round(cfg.val_fraction * len(neg))) if neg else 0
-        val_stays = pos[:n_val_pos] + neg[:n_val_neg]
-        core_stays = pos[n_val_pos:] + neg[n_val_neg:]
+        val = np.array(pos[:n_val_pos] + neg[:n_val_neg], dtype=np.intp)
+        core = np.array(pos[n_val_pos:] + neg[n_val_neg:], dtype=np.intp)
 
-        def window_all(stays):
-            out = []
-            for s in stays:
-                out.extend(windowing.make_windows(s, time_channel=cfg.time_channel))
-            return out
-
-        tr_samples = window_all(core_stays)
-        val_samples = window_all(val_stays)
-        te_samples = window_all(test_imp)
-        X_tr, y_tr, h_tr, _, _ = _sample_arrays(tr_samples)
-        X_val, y_val, h_val, _, _ = _sample_arrays(val_samples)
-        n_pos = int(y_tr.sum())
-        n_neg = int(y_tr.shape[0] - n_pos)
+        tr = windowing.cut_windows(train_grids[core], train_onsets[core],
+                                   cfg.time_channel)
+        va = windowing.cut_windows(train_grids[val], train_onsets[val],
+                                   cfg.time_channel)
+        n_pos = int(tr.y.sum())
+        n_neg = int(tr.y.shape[0] - n_pos)
         clients.append(federation.ClientState(
             icu_id=icu, index=icu_index,
-            X_train=X_tr, y_train=y_tr, h_train=h_tr,
-            X_val=X_val, y_val=y_val, h_val=h_val,
+            X_train=tr.X, y_train=tr.y, h_train=tr.horizons,
+            X_val=va.X, y_val=va.y, h_val=va.horizons,
             pos_weight=cfg.pos_weight_value(n_pos, n_neg),
         ))
-        X_te, y_te, h_te, ends_te, pids_te = _sample_arrays(te_samples)
+        te = windowing.cut_windows(test_grids,
+                                   windowing.stay_onsets(test_stays),
+                                   cfg.time_channel)
+        patient_ids = np.array([s.patient_id for s in test_stays])
         test_sets[icu] = TestSet(
-            icu_id=icu, X=X_te, y=y_te, horizons=h_te, window_ends=ends_te,
-            patient_ids=pids_te,
-            septic_patients=sorted({s.patient_id for s in test_imp if s.septic}),
+            icu_id=icu, X=te.X, y=te.y, horizons=te.horizons,
+            window_ends=te.ends, patient_ids=patient_ids[te.source],
+            septic_patients=sorted({s.patient_id for s in test_stays
+                                    if s.septic}),
         )
     if not clients:
         raise federation.FederationError("partition has no populated ICUs")
@@ -142,9 +135,8 @@ def _window_metrics(probs, y, horizons, threshold):
 def _detections(test: TestSet, probs, threshold):
     """Earliest positive window end per septic test patient (None = missed)."""
     out = {}
-    pid_arr = np.array(test.patient_ids)
     for pid in test.septic_patients:
-        sel = pid_arr == pid
+        sel = test.patient_ids == pid
         out[pid] = earliest_detection(test.window_ends[sel], probs[sel], threshold)
     return out
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedhorizon.cohort import (
-    CohortError, Normalization, RawObservation, apply_inclusion,
-    hourly_aggregate, impute, ingest_csv, make_splits, training_feature_means,
+    CohortError, Normalization, RawObservation, aggregate_hours,
+    apply_inclusion, hourly_aggregate, impute, ingest_csv, make_splits,
+    training_feature_means,
 )
 from fedhorizon.schema import SchemaError, default_schema
 from fedhorizon.synthgen import SynthConfig, export_csv, generate_cohort
@@ -78,6 +79,58 @@ class TestHourlyAggregate:
         got, got_obs = hourly_aggregate([base[i] for i in perm], SCHEMA)
         assert np.array_equal(ref_obs, got_obs)
         assert np.array_equal(np.nan_to_num(ref), np.nan_to_num(got))
+
+
+def _aggregate_rows(rows, n_stays, n_features):
+    """Per-row reference: walk the rows in order, keep the latest offset of
+    each (stay, hour, feature) cell, a later row winning a tie."""
+    grid = np.full((n_stays, 30, n_features), np.nan)
+    best = {}
+    for stay, hour, feature, value in rows:
+        if hour >= 30:
+            continue
+        cell = (stay, int(hour), feature)
+        if cell not in best or hour >= best[cell]:
+            best[cell] = hour
+            grid[cell] = value
+    return grid, ~np.isnan(grid)
+
+
+def _columns(rows):
+    stay, hour, feature, value = zip(*rows) if rows else ((), (), (), ())
+    return (np.array(stay, dtype=np.intp), np.array(hour, dtype=np.float64),
+            np.array(feature, dtype=np.intp), np.array(value, dtype=np.float64))
+
+
+ROWS = st.lists(st.tuples(
+    st.integers(0, 2),
+    # quarter hours: many same-hour ties, and offsets at or past hour 30
+    st.integers(0, 4 * 33).map(lambda q: q / 4),
+    st.integers(0, 3),
+    st.integers(-5, 5).map(float),
+), max_size=60)
+
+
+class TestAggregateHours:
+    @given(ROWS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_row_reference(self, rows):
+        grid, observed = aggregate_hours(*_columns(rows), 3, 4)
+        ref_grid, ref_observed = _aggregate_rows(rows, 3, 4)
+        assert np.array_equal(observed, ref_observed)
+        assert np.array_equal(grid, ref_grid, equal_nan=True)
+
+    @given(st.lists(st.integers(0, 4 * 33), unique=True, min_size=1,
+                    max_size=40), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_distinct_timestamps_any_order(self, quarters, random):
+        rows = [(q % 2, q / 4, q % 3, float(q)) for q in quarters]
+        shuffled = list(rows)
+        random.shuffle(shuffled)
+        grid, observed = aggregate_hours(*_columns(shuffled), 2, 3)
+        ref_grid, ref_observed = _aggregate_rows(rows, 2, 3)
+        assert np.array_equal(observed, ref_observed)
+        assert np.array_equal(grid, ref_grid, equal_nan=True)
 
 
 class TestImpute:
@@ -217,6 +270,92 @@ class TestIngestCsv:
         paths = self._write(tmp_path, self.STATIC, ts, self.LABELS)
         with pytest.raises(CohortError, match=":2"):
             ingest_csv(paths["static"], paths["timeseries"], paths["labels"])
+
+
+    def _ingest(self, tmp_path, static=None, ts=None, labels=None):
+        paths = self._write(tmp_path, static or self.STATIC, ts or self.TS,
+                            labels or self.LABELS)
+        return ingest_csv(paths["static"], paths["timeseries"], paths["labels"])
+
+    @pytest.mark.parametrize("hour", ["nan", "inf", "-inf"])
+    def test_non_finite_hour_offset_names_line(self, tmp_path, hour):
+        ts = self.TS + f"s1,{hour},heart_rate,80\n"
+        with pytest.raises(CohortError, match=r"timeseries\.csv:4: non-finite "
+                                              r"hour_offset"):
+            self._ingest(tmp_path, ts=ts)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        ts = self.TS + f"s1,4.0,heart_rate,{value}\n"
+        with pytest.raises(CohortError, match=r"timeseries\.csv:4: non-finite "
+                                              r"value"):
+            self._ingest(tmp_path, ts=ts)
+
+    @pytest.mark.parametrize("column", ["los_hours", "age", "height", "weight"])
+    def test_non_finite_static_number_names_line(self, tmp_path, column):
+        lines = self.STATIC.splitlines()
+        header = lines[0].split(",")
+        row = lines[2].split(",")
+        row[header.index(column)] = "nan"
+        lines[2] = ",".join(row)
+        static = "\n".join(lines) + "\n"
+        with pytest.raises(CohortError,
+                           match=rf"static\.csv:3: non-finite {column}"):
+            self._ingest(tmp_path, static=static)
+
+    @pytest.mark.parametrize("row,got", [("s1,3.0,heart_rate", 3),
+                                         ("s1,3.0,heart_rate,80,1", 5)])
+    def test_wrong_field_count_names_physical_line(self, tmp_path, row, got):
+        # blank lines are skipped but still counted
+        ts = self.TS + "\n\n" + row + "\n"
+        with pytest.raises(CohortError, match=rf"timeseries\.csv:6: expected 4 "
+                                              rf"fields, got {got}"):
+            self._ingest(tmp_path, ts=ts)
+
+    def test_wrong_static_field_count_names_line(self, tmp_path):
+        static = self.STATIC + "s4,p4,MICU,1,45.0,F,WHITE,60,170,70\n"
+        with pytest.raises(CohortError, match=r"static\.csv:5: expected 11 "
+                                              r"fields, got 10"):
+            self._ingest(tmp_path, static=static)
+
+    def test_unknown_stay_and_feature_name_line(self, tmp_path):
+        ts = self.TS + "\ns1x,1.0,heart_rate,80\n"
+        with pytest.raises(CohortError, match=r":5: unknown stay_id 's1x'"):
+            self._ingest(tmp_path, ts=ts)
+        ts = self.TS + "s1,1.0,serum_rhubarb,80\n"
+        with pytest.raises(CohortError, match=r":4: unknown feature "
+                                              r"'serum_rhubarb'"):
+            self._ingest(tmp_path, ts=ts)
+
+    def test_negative_hour_offset_names_line(self, tmp_path):
+        ts = self.TS + "s1,-0.5,heart_rate,80\n"
+        with pytest.raises(CohortError, match=r":4: negative hour_offset -0.5"):
+            self._ingest(tmp_path, ts=ts)
+
+    def test_non_numeric_onset_names_line(self, tmp_path):
+        labels = "stay_id,sepsis_onset_hour\ns1,soon\n"
+        with pytest.raises(CohortError, match=r"labels\.csv:2"):
+            self._ingest(tmp_path, labels=labels)
+
+    def test_quoted_fields_and_hash_are_data(self, tmp_path):
+        static = self.STATIC.replace("s1,p1,MICU", '"s#1,a",p1,MICU')
+        labels = self.LABELS.replace("s1,", '"s#1,a",')
+        ts = ("stay_id,hour_offset,feature,value\n"
+              '"s#1,a",3.2,heart_rate,80\n'
+              '"s#1,a",3.8,"heart_rate",84\n')
+        part = self._ingest(tmp_path, static=static, ts=ts, labels=labels)
+        stay = part.stays_by_icu["MICU"][0]
+        assert stay.stay_id == "s#1,a"
+        assert stay.grid[3, SCHEMA.index("heart_rate")] == 84.0
+
+    def test_stays_are_views_into_one_stack(self, tmp_path):
+        static = self.STATIC + "s4,p4,CCU,1,50.0,M,WHITE,55,175,80,1\n"
+        labels = self.LABELS + "s4,\n"
+        part = self._ingest(tmp_path, static=static, labels=labels)
+        a, b = part.stays_by_icu["MICU"][0], part.stays_by_icu["CCU"][0]
+        assert a.grid.base is not None and a.grid.base is b.grid.base
+        assert b.grid[0, SCHEMA.index("diabetes")] == 1.0
+        assert np.isnan(b.grid[:, SCHEMA.index("heart_rate")]).all()
 
 
 class TestMakeSplits:

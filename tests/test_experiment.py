@@ -152,3 +152,136 @@ def test_include_fixed_payload(tiny_partition, tmp_path):
         header = fh.readline().strip().split(",")
     assert header == ["horizon", "icu", "delta_f1_mean", "rounds_fixed_mean",
                       "rounds_variable_mean"]
+
+
+def _reference_prepare_fold(partition, fold, cfg):
+    """The per-stay pipeline prepare_fold must match bit for bit: a running
+    mean per stay, np.interp per stay and feature, statistics over stacked
+    grids, and a window loop per stay. Returns {icu: (client fields, test
+    fields)}."""
+    from fedhorizon.schema import INPUT_WINDOW, N_HOURS
+
+    def interp_impute(grid, observed, means):
+        out = grid.copy()
+        hours = np.arange(N_HOURS)
+        for f in range(grid.shape[1]):
+            col = observed[:, f]
+            if not col.any():
+                out[:, f] = means[f]
+            elif not col.all():
+                out[~col, f] = np.interp(hours[~col], hours[col], grid[col, f])
+        return out
+
+    def window_loop(pairs):
+        X, y, h, ends, pids = [], [], [], [], []
+        for grid, stay in pairs:
+            onset = stay.sepsis_onset_hour
+            for t in range(N_HOURS - INPUT_WINDOW + 1):
+                if onset is not None and not (t + INPUT_WINDOW < onset):
+                    break
+                window = grid[t:t + INPUT_WINDOW, :]
+                if cfg.time_channel:
+                    tcol = np.full((INPUT_WINDOW, 1), t / (N_HOURS - INPUT_WINDOW))
+                    window = np.concatenate([window, tcol], axis=1)
+                X.append(window)
+                y.append(0 if onset is None else 1)
+                h.append(25 - t)
+                ends.append(t + INPUT_WINDOW - 1)
+                pids.append(stay.patient_id)
+        return (np.stack(X), np.array(y, dtype=np.float64),
+                np.array(h, dtype=np.int64), np.array(ends, dtype=np.float64),
+                pids)
+
+    out = {}
+    for icu_index, icu in enumerate(ICU_NAMES):
+        train, test = partition.train_test_stays(icu, fold)
+        total = np.zeros(26)
+        count = np.zeros(26)
+        for s in train:
+            total += np.where(s.observed, s.grid, 0.0).sum(axis=0)
+            count += s.observed.sum(axis=0)
+        means = np.full(26, np.nan)
+        means[count > 0] = total[count > 0] / count[count > 0]
+        train_imp = [interp_impute(s.grid, s.observed, means) for s in train]
+        test_imp = [interp_impute(s.grid, s.observed, means) for s in test]
+        data = np.stack(train_imp)
+        mean, std = data.mean(axis=(0, 1)), data.std(axis=(0, 1))
+        std = np.where(std < 1e-8, 1.0, std)
+        train_pairs = [((g - mean) / std, s) for g, s in zip(train_imp, train)]
+        test_pairs = [((g - mean) / std, s) for g, s in zip(test_imp, test)]
+
+        rng = np.random.default_rng([cfg.seed, fold, icu_index, 0x5A11])
+        pos = [p for p in train_pairs if p[1].septic]
+        neg = [p for p in train_pairs if not p[1].septic]
+        rng.shuffle(pos)
+        rng.shuffle(neg)
+        n_val_pos = max(1, round(cfg.val_fraction * len(pos))) if pos else 0
+        n_val_neg = max(1, round(cfg.val_fraction * len(neg))) if neg else 0
+        X_tr, y_tr, h_tr, _, _ = window_loop(pos[n_val_pos:] + neg[n_val_neg:])
+        X_val, y_val, h_val, _, _ = window_loop(pos[:n_val_pos] + neg[:n_val_neg])
+        n_pos = int(y_tr.sum())
+        client = (X_tr, y_tr, h_tr, X_val, y_val, h_val,
+                  cfg.pos_weight_value(n_pos, len(y_tr) - n_pos))
+        X_te, y_te, h_te, ends_te, pids_te = window_loop(test_pairs)
+        septic = sorted({s.patient_id for s in test if s.septic})
+        out[icu] = (client, (X_te, y_te, h_te, ends_te, np.array(pids_te),
+                             septic))
+    return out
+
+
+def _assert_same_bits(got, want, what):
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype, what
+        assert got.shape == want.shape, what
+        assert got.tobytes() == want.tobytes(), what
+    else:
+        assert type(got) is type(want) and got == want, what
+
+
+class TestPrepareFoldMatchesPerStayReference:
+    @pytest.fixture(scope="class")
+    def split(self):
+        from fedhorizon.cohort import make_splits
+        # heavy missingness: interior gaps, edge gaps and empty columns
+        part = generate_cohort(SynthConfig(
+            counts={icu: 12 for icu in ICU_NAMES}, missingness=0.85, seed=5))
+        return make_splits(part, 0.2, 3, seed=5)
+
+    @pytest.mark.parametrize("time_channel", [True, False])
+    @pytest.mark.parametrize("fold", [0, 2])
+    def test_bit_identical(self, split, fold, time_channel):
+        cfg = tiny_config(time_channel=time_channel, folds=3, seed=5)
+        empty_columns = sum(int((~s.observed.any(axis=0)).sum())
+                            for s in split.all_stays())
+        assert empty_columns > 0  # the training-mean branch is exercised
+        clients, test_sets = experiment.prepare_fold(split, fold, cfg)
+        want = _reference_prepare_fold(split, fold, cfg)
+        assert [c.icu_id for c in clients] == list(want)
+        for c in clients:
+            ref_client, ref_test = want[c.icu_id]
+            fields = ("X_train", "y_train", "h_train", "X_val", "y_val",
+                      "h_val", "pos_weight")
+            for name, ref in zip(fields, ref_client):
+                _assert_same_bits(getattr(c, name), ref, f"{c.icu_id} {name}")
+            test = test_sets[c.icu_id]
+            fields = ("X", "y", "horizons", "window_ends", "patient_ids",
+                      "septic_patients")
+            for name, ref in zip(fields, ref_test):
+                _assert_same_bits(getattr(test, name), ref,
+                                  f"{c.icu_id} test {name}")
+
+    def test_repeated_calls_leave_partition_unchanged(self, split):
+        cfg = tiny_config(folds=3, seed=5)
+        before = [(s.grid.tobytes(), s.observed.tobytes(), s.imputed,
+                   s.sepsis_onset_hour) for s in split.all_stays()]
+        first_clients, first_tests = experiment.prepare_fold(split, 1, cfg)
+        second_clients, second_tests = experiment.prepare_fold(split, 1, cfg)
+        after = [(s.grid.tobytes(), s.observed.tobytes(), s.imputed,
+                  s.sepsis_onset_hour) for s in split.all_stays()]
+        assert after == before
+        for a, b in zip(first_clients, second_clients):
+            for name in ("X_train", "y_train", "h_train", "X_val", "y_val",
+                         "h_val"):
+                _assert_same_bits(getattr(b, name), getattr(a, name), name)
+        for icu, test in first_tests.items():
+            _assert_same_bits(second_tests[icu].X, test.X, icu)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedhorizon.windowing import WindowingError, as_arrays, filter_horizon, \
-    make_windows
+from fedhorizon.windowing import WindowingError, cut_windows, make_windows
 
 from conftest import make_stay
 
@@ -70,25 +69,6 @@ def test_horizons_contiguous_descending_from_25(onset):
             assert s.window_start + 6 < onset  # never overlaps onset
 
 
-class TestFilterHorizon:
-    def test_horizon_25_is_the_first_window(self):
-        samples = make_windows(make_stay())
-        picked = filter_horizon(samples, 25)
-        assert len(picked) == 1
-        assert picked[0].window_start == 0
-
-    def test_horizon_maps_to_window_start(self):
-        samples = make_windows(make_stay())
-        assert filter_horizon(samples, 5)[0].window_start == 20
-
-    def test_out_of_range_errors(self):
-        samples = make_windows(make_stay())
-        with pytest.raises(WindowingError):
-            filter_horizon(samples, 26)
-        with pytest.raises(WindowingError):
-            filter_horizon(samples, 0)
-
-
 def test_cohort_sample_count_is_sum_of_per_stay_counts():
     stays = [make_stay("a"), make_stay("b", onset=20.0), make_stay("c", onset=8.5)]
     counts = [len(make_windows(s)) for s in stays]
@@ -97,9 +77,24 @@ def test_cohort_sample_count_is_sum_of_per_stay_counts():
     assert total == sum(counts)
 
 
-def test_as_arrays_shapes():
-    X, y = as_arrays(make_windows(make_stay()))
-    assert X.shape == (25, 6, 27)
-    assert y.shape == (25,)
-    with pytest.raises(WindowingError):
-        as_arrays([])
+def test_cut_windows_stack_equals_per_stay_windows():
+    rng = np.random.default_rng(0)
+    stays = [make_stay("a"), make_stay("b", onset=20.0), make_stay("c", onset=5.0),
+             make_stay("d", onset=7.5)]
+    for s in stays:
+        s.grid = rng.normal(size=s.grid.shape)
+    onsets = np.array([np.inf, 20.0, 5.0, 7.5])
+    w = cut_windows(np.stack([s.grid for s in stays]), onsets)
+    samples = [x for s in stays for x in make_windows(s)]
+    assert w.X.shape == (len(samples), 6, 27)
+    assert np.array_equal(w.X, np.stack([x.features for x in samples]))
+    assert w.horizons.tolist() == [x.horizon for x in samples]
+    assert w.y.tolist() == [x.label for x in samples]
+    assert w.ends.tolist() == [x.window_start + 5 for x in samples]
+    assert w.source.tolist() == [0] * 25 + [1] * 14 + [3] * 2
+
+
+def test_cut_windows_empty_stack():
+    w = cut_windows(np.empty((0, 30, 26)), np.empty(0), time_channel=False)
+    assert w.X.shape == (0, 6, 26)
+    assert w.y.shape == w.horizons.shape == w.ends.shape == (0,)
