@@ -117,12 +117,6 @@ class FeatureSchema:
     def __getitem__(self, name: str) -> FeatureSpec:
         return self.features[self.index(name)]
 
-    def category_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for f in self.features:
-            counts[f.category] = counts.get(f.category, 0) + 1
-        return counts
-
 
 def default_schema() -> FeatureSchema:
     """Canonical 26-feature schema: general, vitals, diagnoses, therapy."""

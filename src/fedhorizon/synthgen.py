@@ -5,18 +5,25 @@ runs without access-gated data. Septic patients receive a planted drift
 in a subset of vital features that ramps up towards onset, so windows
 close to onset are genuinely easier than distant ones, and each ICU gets
 its own mean shift to emulate client heterogeneity.
+
+Each ICU draws from its own seeded generator, stay by stay in a fixed
+order, so a seed always gives the same cohort and the same CSV bytes. The
+arithmetic then runs on whole arrays: one AR(1) recurrence over an ICU's
+(n, 30, T) stack, the drift for all of its septic stays at once, and
+``export_csv`` writes ``timeseries.csv`` a block of stays at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cohort import CohortPartition, PatientStay
-from .schema import ICU_NAMES, N_HOURS, default_schema
+from .schema import ICU_NAMES, N_HOURS, STATIC_FEATURES, default_schema
 
 # Table-derived per-ICU patient counts scaled to desk size (x0.1).
 DEFAULT_COUNTS = {
@@ -122,14 +129,70 @@ class SynthConfig:
                 f"sign_flip_p {self.sign_flip_p} outside [0, 1]")
 
 
-def signal_drift(hour: float, onset: float, lead: float) -> float:
+def signal_drift(hour, onset, lead: float):
     """Fraction of the full drift present at a given hour: a linear ramp
-    from 0 at (onset - lead) to 1 at onset, clipped to [0, 1]."""
-    return float(np.clip((hour - (onset - lead)) / lead, 0.0, 1.0))
+    from 0 at (onset - lead) to 1 at onset, clipped to [0, 1]. ``hour``
+    and ``onset`` may be scalars or broadcastable arrays."""
+    return np.clip((hour - (onset - lead)) / lead, 0.0, 1.0)
+
+
+@dataclass
+class _StayDraws:
+    """Every random draw of one ICU's stays, one row per stay."""
+    onset: list  # Python float per septic stay, None otherwise
+    onset_u: np.ndarray  # (n,) uniform behind the onset and the amplitude
+    eps: np.ndarray  # (n, 30, T) AR(1) innovations
+    slow: np.ndarray  # (n,) bool, slow burner
+    signs: np.ndarray  # (n, S) +-1 per signal feature
+    keep: np.ndarray  # (n, 30, T) uniforms behind the time-series mask
+    vent: np.ndarray  # (n,) 0.0 / 1.0
+    keep_vent: np.ndarray  # (n, 30) uniforms behind the vent mask
+    statics: np.ndarray  # (n, 6) raw static draws, in STATIC_FEATURES order
+    los: list  # Python float per stay
+
+
+def _draw_stays(rng, n: int, config: SynthConfig, n_ts: int,
+                n_sig: int) -> _StayDraws:
+    """Make the draws stay by stay, in the order fixed for every stay
+    (septic, onset, eps, slow burner and signs, keep, vent, keep_vent,
+    statics, length of stay), so that a seed always gives the same cohort."""
+    d = _StayDraws(
+        onset=[None] * n, onset_u=np.empty(n),
+        eps=np.empty((n, N_HOURS, n_ts)), slow=np.zeros(n, dtype=bool),
+        signs=np.ones((n, n_sig)), keep=np.empty((n, N_HOURS, n_ts)),
+        vent=np.empty(n), keep_vent=np.empty((n, N_HOURS)),
+        statics=np.empty((n, len(STATIC_FEATURES))), los=[0.0] * n)
+    for i in range(n):
+        septic = rng.random() < config.prevalence
+        onset_u = d.onset_u[i] = rng.random()
+        if septic:
+            # inverse-CDF of p(o) ∝ ((o-6)/24)^(bias-1): bias 1 is
+            # uniform, larger values concentrate onsets late in the stay
+            onset = 6.0 + 24.0 * onset_u ** (1.0 / config.onset_bias)
+            d.onset[i] = onset if onset > 6.0 else 6.0 + 1e-6  # (6, 30]
+        rng.standard_normal(out=d.eps[i])
+        if septic and rng.random() < config.slow_frac:
+            d.slow[i] = True
+            d.signs[i] = np.where(rng.random(n_sig) < config.sign_flip_p,
+                                  -1.0, 1.0)
+        rng.random(out=d.keep[i])
+        d.vent[i] = rng.random() < 0.3
+        rng.random(out=d.keep_vent[i])
+        d.statics[i] = (rng.integers(0, 2), rng.integers(0, 6),
+                        rng.normal(65, 15), rng.normal(170, 10),
+                        rng.normal(80, 15), rng.random() < 0.25)
+        d.los[i] = float(30.0 + rng.exponential(40.0))
+    return d
 
 
 def generate_cohort(config: SynthConfig) -> CohortPartition:
-    """Deterministic synthetic CohortPartition (pre-imputation)."""
+    """Deterministic synthetic CohortPartition (pre-imputation).
+
+    Each ICU draws from its own ``default_rng([seed, icu_index])``, stay
+    by stay (``_draw_stays``); the AR(1) noise, the planted drift and the
+    grids are then computed for all of an ICU's stays at once, and each
+    stay's grid and mask are views into the ICU's (n, 30, F) stack.
+    """
     config.validate()
     schema = default_schema()
     ts_names = list(FEATURE_BASELINES)
@@ -138,6 +201,8 @@ def generate_cohort(config: SynthConfig) -> CohortPartition:
     sd = np.array([FEATURE_BASELINES[n][1] for n in ts_names])
     ts_cols = np.array([schema.index(n) for n in ts_names])
     vent_col = schema.index("mech_vent")
+    static_cols = [schema.index(spec.name) for spec in STATIC_FEATURES]
+    hours = np.arange(N_HOURS)
 
     stays_by_icu: dict[str, list[PatientStay]] = {icu: [] for icu in ICU_NAMES}
     for icu_idx, icu in enumerate(ICU_NAMES):
@@ -148,87 +213,96 @@ def generate_cohort(config: SynthConfig) -> CohortPartition:
         shift_scale = config.shifts.get(icu, 0.0)
         # fixed per-ICU offset direction, stable under the master seed
         shift = rng.standard_normal(len(ts_names)) * shift_scale * sd
-        for i in range(n):
-            septic = rng.random() < config.prevalence
-            onset_u = rng.random()
-            if septic:
-                # inverse-CDF of p(o) ∝ ((o-6)/24)^(bias-1): bias 1 is
-                # uniform, larger values concentrate onsets late in the stay
-                onset = 6.0 + 24.0 * onset_u ** (1.0 / config.onset_bias)
-            else:
-                onset = None
-            if onset is not None and onset <= 6.0:
-                onset = 6.0 + 1e-6  # open interval (6, 30]
+        d = _draw_stays(rng, n, config, len(ts_names), len(sig_idx))
 
-            hours = np.arange(N_HOURS)
-            # AR(1) series per feature around the shifted baseline
-            eps = rng.standard_normal((N_HOURS, len(ts_names)))
-            series = np.empty_like(eps)
-            rho = config.ar_rho
-            series[0] = eps[0]
-            for h in range(1, N_HOURS):
-                series[h] = rho * series[h - 1] + np.sqrt(1 - rho**2) * eps[h]
-            values = mu + shift + config.noise_scale * sd * series
-            if septic:
-                # weak constant elevation from admission plus a ramp
-                # towards onset: far-from-onset windows carry a subtle
-                # signal, near-onset windows a strong one
-                ramp = np.clip((hours - (onset - config.signal_lead))
-                               / config.signal_lead, 0.0, 1.0)
-                signs = np.ones(len(sig_idx))
-                if rng.random() < config.slow_frac:
-                    # slow burner: flat moderate drift from admission that
-                    # never develops the sharp pre-onset ramp, with a
-                    # patient-specific mix of elevated and depressed vitals
-                    level = np.full_like(ramp, config.slow_level)
-                    signs = np.where(
-                        rng.random(len(sig_idx)) < config.sign_flip_p,
-                        -1.0, 1.0)
-                else:
-                    level = (config.signal_base
+        # AR(1) series per stay and feature around the shifted baseline
+        rho = config.ar_rho
+        series = np.empty_like(d.eps)
+        series[:, 0] = d.eps[:, 0]
+        for h in range(1, N_HOURS):
+            series[:, h] = (rho * series[:, h - 1]
+                            + np.sqrt(1 - rho**2) * d.eps[:, h])
+        values = mu + shift + config.noise_scale * sd * series
+
+        sep = [i for i, o in enumerate(d.onset) if o is not None]
+        if sep:
+            onset = np.array([d.onset[i] for i in sep])
+            # weak constant elevation from admission plus a ramp towards
+            # onset: far-from-onset windows carry a subtle signal,
+            # near-onset windows a strong one; slow burners get a flat
+            # moderate drift that never develops the sharp pre-onset ramp,
+            # with a patient-specific mix of elevated and depressed vitals
+            ramp = signal_drift(hours, onset[:, None], config.signal_lead)
+            level = np.where(d.slow[sep, None], config.slow_level,
+                             config.signal_base
                              + (1.0 - config.signal_base) * ramp)
-                # per-stay amplitude factor tied to the onset draw: patients
-                # who decompensate early in the stay also express the drift
-                # weakly, so their few pre-onset windows are the hard cases
-                factor = 1.0 + config.amp_jitter * (2.0 * onset_u - 1.0)
-                values[:, sig_idx] += (factor * config.signal_amp
-                                       * sd[sig_idx] * signs * level[:, None])
+            # per-stay amplitude factor tied to the onset draw: patients
+            # who decompensate early in the stay also express the drift
+            # weakly, so their few pre-onset windows are the hard cases
+            factor = 1.0 + config.amp_jitter * (2.0 * d.onset_u[sep] - 1.0)
+            scale = ((factor * config.signal_amp)[:, None] * sd[sig_idx]
+                     * d.signs[sep])
+            values[np.ix_(sep, hours, sig_idx)] += (scale[:, None, :]
+                                                    * level[:, :, None])
 
-            grid = np.full((N_HOURS, schema.n_features), np.nan)
-            observed = np.zeros((N_HOURS, schema.n_features), dtype=bool)
-            keep = rng.random((N_HOURS, len(ts_names))) >= config.missingness
-            grid[:, ts_cols] = np.where(keep, values, np.nan)
-            observed[:, ts_cols] = keep
-            # mechanical ventilation: constant per stay, recorded hourly
-            vent = float(rng.random() < 0.3)
-            keep_vent = rng.random(N_HOURS) >= config.missingness
-            grid[:, vent_col] = np.where(keep_vent, vent, np.nan)
-            observed[:, vent_col] = keep_vent
+        grid = np.full((n, N_HOURS, schema.n_features), np.nan)
+        observed = np.zeros((n, N_HOURS, schema.n_features), dtype=bool)
+        keep = d.keep >= config.missingness
+        grid[:, :, ts_cols] = np.where(keep, values, np.nan)
+        observed[:, :, ts_cols] = keep
+        # mechanical ventilation: constant per stay, recorded hourly
+        keep_vent = d.keep_vent >= config.missingness
+        grid[:, :, vent_col] = np.where(keep_vent, d.vent[:, None], np.nan)
+        observed[:, :, vent_col] = keep_vent
+        statics = d.statics
+        statics[:, 2] = np.clip(statics[:, 2], 18, 100)  # age
+        statics[:, 4] = np.clip(statics[:, 4], 40, 200)  # weight
+        grid[:, :, static_cols] = statics[:, None, :]
+        observed[:, :, static_cols] = True
 
-            static = {
-                "gender": float(rng.integers(0, 2)),
-                "ethnicity": float(rng.integers(0, 6)),
-                "age": float(np.clip(rng.normal(65, 15), 18, 100)),
-                "height": float(rng.normal(170, 10)),
-                "weight": float(np.clip(rng.normal(80, 15), 40, 200)),
-                "diabetes": float(rng.random() < 0.25),
-            }
-            for name, value in static.items():
-                col = schema.index(name)
-                grid[:, col] = value
-                observed[:, col] = True
-
-            stays_by_icu[icu].append(PatientStay(
+        stays_by_icu[icu] = [
+            PatientStay(
                 stay_id=f"s{icu_idx}_{i:05d}",
                 patient_id=f"p{icu_idx}_{i:05d}",
                 icu_id=icu,
                 stay_index=1,
-                length_of_stay=float(30.0 + rng.exponential(40.0)),
-                grid=grid,
-                observed=observed,
-                sepsis_onset_hour=onset,
-            ))
+                length_of_stay=d.los[i],
+                grid=grid[i],
+                observed=observed[i],
+                sepsis_onset_hour=d.onset[i],
+            )
+            for i in range(n)
+        ]
     return CohortPartition(schema=schema, stays_by_icu=stays_by_icu)
+
+
+# Stays per block of timeseries.csv; bounds the memory export_csv uses.
+EXPORT_BLOCK_STAYS = 256
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
+def _timeseries_rows(stays: list[PatientStay], cols: list[int],
+                     middles: np.ndarray) -> str:
+    """The timeseries.csv rows of the stays' observed cells, in (stay,
+    feature, hour) order. ``middles[f * 30 + h]`` holds the row's text
+    between the stay id and the value for column ``cols[f]`` at hour h."""
+    observed = np.stack([s.observed[:, cols] for s in stays])
+    grid = np.stack([s.grid[:, cols] for s in stays])
+    observed, grid = observed.transpose(0, 2, 1), grid.transpose(0, 2, 1)
+    stay, feature, hour = np.nonzero(observed)
+    ids = np.array([_csv_field(s.stay_id) for s in stays], dtype=object)
+    fields = [""] * (4 * len(stay))
+    fields[0::4] = ids[stay].tolist()
+    fields[1::4] = middles[feature * N_HOURS + hour].tolist()
+    fields[2::4] = map(repr, grid[observed].tolist())
+    fields[3::4] = ["\r\n"] * len(stay)
+    return "".join(fields)
 
 
 def export_csv(partition: CohortPartition, out_dir) -> dict[str, str]:
@@ -236,12 +310,15 @@ def export_csv(partition: CohortPartition, out_dir) -> dict[str, str]:
 
     Only observed cells are emitted as observations (at mid-bucket hour
     offsets), so the re-ingested missingness mask matches exactly.
+    ``timeseries.csv`` is written EXPORT_BLOCK_STAYS stays at a time from
+    whole arrays; its bytes are those a ``csv.writer`` row per observed
+    cell would give (values as ``repr`` of Python floats, ``\\r\\n`` line
+    ends), so a seed's cohort always exports to the same files.
     """
     os.makedirs(out_dir, exist_ok=True)
     schema = partition.schema
-    ts_specs = [f for f in schema.features
-                if f.name not in ("gender", "ethnicity", "age", "height",
-                                  "weight", "diabetes")]
+    static_names = {spec.name for spec in STATIC_FEATURES}
+    ts_specs = [f for f in schema.features if f.name not in static_names]
     paths = {
         "static": os.path.join(out_dir, "static.csv"),
         "timeseries": os.path.join(out_dir, "timeseries.csv"),
@@ -263,16 +340,15 @@ def export_csv(partition: CohortPartition, out_dir) -> dict[str, str]:
                 repr(float(s.grid[0, schema.index("weight")])),
                 int(round(s.grid[0, schema.index("diabetes")])),
             ])
+    cols = [schema.index(spec.name) for spec in ts_specs]
+    middles = np.array([f",{h + 0.5!r},{_csv_field(spec.name)},"
+                        for spec in ts_specs for h in range(N_HOURS)],
+                       dtype=object)
     with open(paths["timeseries"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stay_id", "hour_offset", "feature", "value"])
-        for s in stays:
-            for spec in ts_specs:
-                col = schema.index(spec.name)
-                for h in range(s.grid.shape[0]):
-                    if s.observed[h, col]:
-                        w.writerow([s.stay_id, repr(h + 0.5), spec.name,
-                                    repr(float(s.grid[h, col]))])
+        fh.write("stay_id,hour_offset,feature,value\r\n")
+        for start in range(0, len(stays), EXPORT_BLOCK_STAYS):
+            fh.write(_timeseries_rows(stays[start:start + EXPORT_BLOCK_STAYS],
+                                      cols, middles))
     with open(paths["labels"], "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["stay_id", "sepsis_onset_hour"])
