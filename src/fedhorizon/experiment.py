@@ -274,9 +274,6 @@ class RunResult:
     fold_results: list[FoldResult]
     aggregate: object  # MetricReport
 
-    def fold_reports(self):
-        return [r.report for r in self.fold_results]
-
 
 def run_all_folds(partition: CohortPartition, cfg: ExperimentConfig,
                   include_fixed: bool = False) -> RunResult:

@@ -1,26 +1,29 @@
 """FedAvg simulation across ICU clients.
 
 A round distributes the global model, trains three local epochs per
-client, and aggregates returned parameter vectors weighted by local
-window counts. Local and Central settings reuse the same round loop with
-a single (per-ICU or pooled) client, so a one-client federation is
-bit-identical to local training by construction.
+client, and aggregates the returned parameter and batch-norm vectors
+(``nn.Model.vector`` and ``buffer_vector``, the model's own storage)
+weighted by local window counts. Local and Central settings reuse the
+same round loop with a single (per-ICU or pooled) client, so a one-client
+federation is bit-identical to local training by construction.
 
 Client-side randomness derives solely from (seed, client index, round),
-so runs are reproducible regardless of execution order. A federation of
-several clients trains them in a fork pool of worker processes, one per
-usable CPU, that inherit the client data when they start; per round only
-the global parameter and batch-norm vectors go out, and the trained
-vectors and losses come back. Aggregation stays in the calling process,
-in client order, so pooled and in-process runs are bit-identical. The
-one-client trainings of the Local and Central settings are independent of
-each other, so they share such a pool too, one training per task.
+so runs are reproducible regardless of execution order. Independent tasks
+run through one executor, ``_executor``: in a fork pool of worker
+processes, one per usable CPU, that inherit the shared data (the clients)
+when they start, or in-process when one worker is enough. Per FedAvg
+round only the two global vectors go out, and the trained vectors and
+losses come back. Aggregation stays in the calling process, in client
+order, so pooled and in-process runs are bit-identical. The one-client
+trainings of the Local and Central settings are independent of each
+other, so they go through the same executor, one training per task.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -101,37 +104,60 @@ def _eval_loss(model: nn.Model, X, y, pos_weight: float) -> float:
     return nn.loss(probs, y, pos_weight=pos_weight)
 
 
-def worker_count(n_clients: int) -> int:
-    """Worker processes for a federation: one per usable CPU, at most one
-    per client. One means the clients train in-process."""
-    return min(len(os.sched_getaffinity(0)), n_clients)
+def worker_count(n_tasks: int) -> int:
+    """Worker processes for an ``_executor``: one per usable CPU, at most
+    one per task. One means the tasks run in-process."""
+    return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
-# The clients a pool worker trains, set once when the worker starts; the
-# calling process never sets it.
-_worker_clients: list[ClientState] = []
+# What the pool workers of the open executor share, set once when each
+# worker starts; the calling process never sets it.
+_worker_shared = None
 
 
-def _set_worker_clients(clients: list[ClientState]) -> None:
-    global _worker_clients
-    _worker_clients = clients
+def _set_worker_shared(shared) -> None:
+    global _worker_shared
+    _worker_shared = shared
 
 
-def _client_task(job, clients: list[ClientState] | None = None):
+def _map_in_process(task, shared, jobs) -> list:
+    return [task(job, shared) for job in jobs]
+
+
+@contextmanager
+def _executor(task, shared, n_tasks: int):
+    """Yields ``map_jobs(jobs)``, which returns ``[task(job, shared) ...]``.
+
+    With one worker (``worker_count(n_tasks)``) the tasks run in-process.
+    Otherwise they run in a fork pool whose workers inherit ``shared``
+    instead of unpickling a copy each (this package starts no threads to
+    fork from); the pool is terminated and joined on exit.
+    """
+    workers = worker_count(n_tasks)
+    if workers <= 1:
+        yield partial(_map_in_process, task, shared)
+        return
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, _set_worker_shared, (shared,))
+    try:
+        yield partial(pool.map, task, chunksize=1)
+    finally:
+        pool.terminate()
+        pool.join()
+
+
+def _client_task(job, shared: list[ClientState] | None = None):
     """Train one client for one round from the global vectors.
 
     ``job`` is ``(position, config, params, buffers, round_index, seed,
-    local_epochs, batch_size, lr)``. Returns the trained parameter and
-    buffer vectors and the client's training loss. A pool worker trains
-    the clients it inherited; an in-process call passes ``clients``.
+    local_epochs, batch_size, lr)`` and ``shared`` the clients (a pool
+    worker's inherited ones when None). Returns the trained parameter and
+    buffer vectors and the client's training loss.
     """
     (position, config, params, buffers, round_index, seed, local_epochs,
      batch_size, lr) = job
-    client = (_worker_clients if clients is None else clients)[position]
-    local = nn.Model(config,
-                     params=nn.vector_to_params(params, nn.param_layout(config)),
-                     buffers=nn.vector_to_params(buffers,
-                                                 nn.buffer_layout(config)))
+    client = (_worker_shared if shared is None else shared)[position]
+    local = nn.Model(config, params, buffers)
     try:
         nn.train_epochs(
             local, client.X_train, client.y_train,
@@ -143,36 +169,33 @@ def _client_task(job, clients: list[ClientState] | None = None):
             f"client {client.icu_id} failed in round {round_index}: {exc}"
         ) from exc
     loss = _eval_loss(local, client.X_train, client.y_train, client.pos_weight)
-    return local.to_vector(), local.buffers_to_vector(), loss
+    return local.vector, local.buffer_vector, loss
 
 
 def run_round(global_model: nn.Model, clients: list[ClientState],
               round_index: int, seed: int, local_epochs: int = 3,
-              batch_size: int = 64, lr: float = nn.ADAM_LR, pool=None
+              batch_size: int = 64, lr: float = nn.ADAM_LR, map_jobs=None
               ) -> tuple[nn.Model, RoundLog]:
     """One FedAvg round. Optimizer state is client-local and reset at the
     start of every round (only parameters are exchanged).
 
-    Client tasks run on ``pool``, a worker pool started on these
-    clients, or in-process when it is None.
+    Client tasks run through ``map_jobs``, the map of an ``_executor``
+    opened on these clients, or in-process when it is None.
     """
     if not clients:
         raise FederationError("round requires at least one client")
-    params, buffers = global_model.to_vector(), global_model.buffers_to_vector()
-    jobs = [(position, global_model.config, params, buffers, round_index, seed,
-             local_epochs, batch_size, lr) for position in range(len(clients))]
-    if pool is None:
-        results = list(map(partial(_client_task, clients=clients), jobs))
-    else:
-        results = pool.map(_client_task, jobs, chunksize=1)
-    trained, trained_buffers, losses = zip(*results)
+    if map_jobs is None:
+        map_jobs = partial(_map_in_process, _client_task, clients)
+    jobs = [(position, global_model.config, global_model.vector,
+             global_model.buffer_vector, round_index, seed, local_epochs,
+             batch_size, lr) for position in range(len(clients))]
+    trained, trained_buffers, losses = zip(*map_jobs(jobs))
     weights = [client.n_k for client in clients]
     log = RoundLog(round=round_index, client_losses={
         client.icu_id: loss for client, loss in zip(clients, losses)})
-    new_model = global_model.copy()
-    new_model.from_vector(fedavg_aggregate(list(zip(trained, weights))))
-    new_model.buffers_from_vector(
-        fedavg_aggregate(list(zip(trained_buffers, weights))))
+    new_model = nn.Model(global_model.config,
+                         fedavg_aggregate(list(zip(trained, weights))),
+                         fedavg_aggregate(list(zip(trained_buffers, weights))))
     return new_model, log
 
 
@@ -220,9 +243,9 @@ def run_federated(clients: list[ClientState], model_config: nn.ModelConfig,
     ``min_delta`` (the round check_convergence reports), not the final
     round; with ``early_stop=False`` the final-round model is returned.
 
-    Several clients train in a fork pool of ``worker_count`` processes,
-    closed before this returns or raises; a single client trains
-    in-process.
+    The clients train through an ``_executor``: in a fork pool of
+    ``worker_count`` processes, closed before this returns or raises, or
+    in-process for a single client.
     """
     if not clients:
         raise FederationError("no clients")
@@ -233,36 +256,22 @@ def run_federated(clients: list[ClientState], model_config: nn.ModelConfig,
     logs: list[RoundLog] = []
     best_f1 = -np.inf
     snapshot = None
-    workers = worker_count(len(clients))
-    pool = None
-    if workers > 1:
-        # fork, not spawn: workers inherit the client arrays instead of
-        # unpickling a copy each; this package starts no threads to fork from
-        pool = multiprocessing.get_context("fork").Pool(
-            workers, _set_worker_clients, (clients,))
-    try:
+    with _executor(_client_task, clients, len(clients)) as map_jobs:
         for round_index in range(1, rounds + 1):
             model, log = run_round(model, clients, round_index, seed,
                                    local_epochs=local_epochs,
-                                   batch_size=batch_size, lr=lr, pool=pool)
+                                   batch_size=batch_size, lr=lr,
+                                   map_jobs=map_jobs)
             log.val_f1 = validation_f1(model, clients, threshold)
             if early_stop and log.val_f1 > best_f1 + min_delta:
                 best_f1 = log.val_f1
-                snapshot = (model.to_vector(), model.buffers_to_vector())
+                snapshot = model  # run_round builds a new model each round
             converged_at = check_convergence(logs + [log], patience, min_delta)
             log.converged = converged_at is not None
             logs.append(log)
             if early_stop and log.converged:
                 break
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-    if snapshot is not None:
-        model = model.copy()
-        model.from_vector(snapshot[0])
-        model.buffers_from_vector(snapshot[1])
-    return model, logs
+    return (model if snapshot is None else snapshot), logs
 
 
 def pool_clients(clients: list[ClientState]) -> ClientState:
@@ -294,19 +303,10 @@ def pool_clients(clients: list[ClientState]) -> ClientState:
     return pooled
 
 
-# The one-client trainings a pool worker runs, with their model config and
-# training arguments, set once when the worker starts.
-_worker_solo: tuple = ()
-
-
-def _set_worker_solo(clients: list[ClientState], model_config, kwargs) -> None:
-    global _worker_solo
-    _worker_solo = (clients, model_config, kwargs)
-
-
-def _solo_task(position: int, solo: tuple | None = None):
-    """Train one client as a one-client federation (in-process)."""
-    clients, model_config, kwargs = _worker_solo if solo is None else solo
+def _solo_task(position: int, shared: tuple | None = None):
+    """Train one client of ``shared`` = (clients, model config, training
+    arguments) as a one-client federation, in-process."""
+    clients, model_config, kwargs = _worker_shared if shared is None else shared
     return run_federated([clients[position]], model_config, **kwargs)
 
 
@@ -314,22 +314,14 @@ def train_alone(clients: list[ClientState], model_config: nn.ModelConfig,
                 **kwargs) -> list[tuple[nn.Model, list[RoundLog]]]:
     """Train every client as its own one-client federation.
 
-    The trainings are independent, so with several clients they run in a
-    fork pool of ``worker_count`` processes, largest client first, closed
-    before this returns or raises. Results come back in client order.
+    The trainings are independent, so they run through one ``_executor``
+    (a fork pool of ``worker_count`` processes for several clients),
+    largest client first. Results come back in client order.
     """
-    solo = (clients, model_config, kwargs)
-    workers = worker_count(len(clients))
-    if workers <= 1:
-        return [_solo_task(position, solo) for position in range(len(clients))]
     order = sorted(range(len(clients)), key=lambda i: -clients[i].n_k)
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, _set_worker_solo, solo)
-    try:
-        trained = pool.map(_solo_task, order, chunksize=1)
-    finally:
-        pool.terminate()
-        pool.join()
+    with _executor(_solo_task, (clients, model_config, kwargs),
+                   len(clients)) as map_jobs:
+        trained = map_jobs(order)
     results = [None] * len(clients)
     for position, result in zip(order, trained):
         results[position] = result

@@ -5,9 +5,12 @@ time steps (with residual connection), three LSTM layers of 16 units,
 each followed by batch normalization and dropout, a dense layer to 8
 units with batch normalization and dropout, and a single sigmoid output.
 
-All gradients are exact (verified against finite differences); parameters
-round-trip bit-exactly through a flat, documented vector layout used as
-the federated exchange format.
+All gradients are exact (verified against finite differences). A model's
+parameters live in one flat vector with a documented layout, and its
+batch-norm running statistics in a second one; the named arrays that
+``forward`` and ``backward`` take are views into them. The two vectors are
+also the federated exchange format, so nothing is packed or unpacked
+between a training step and an upload.
 """
 
 from __future__ import annotations
@@ -36,18 +39,15 @@ class ModelConfig:
     lstm_layers: int = 3
     dense_units: int = 8
     dropout: float = 0.2
-    attention_heads: int = 1
     seed: int = 0
     dtype: str = "float64"
 
     def __post_init__(self):
         if min(self.n_features, self.lstm_units, self.lstm_layers,
-               self.dense_units, self.attention_heads) < 1:
+               self.dense_units) < 1:
             raise ModelError("all size fields must be positive")
         if not (0.0 <= self.dropout < 1.0):
             raise ModelError(f"dropout {self.dropout} outside [0, 1)")
-        if self.attention_heads != 1:
-            raise ModelError("only single-head attention is supported")
 
     @property
     def np_dtype(self):
@@ -104,6 +104,7 @@ def params_to_vector(params: dict[str, np.ndarray], layout) -> np.ndarray:
 
 
 def vector_to_params(vector: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """Named views into ``vector``: writing to one writes to the vector."""
     sizes = [math.prod(shape) for _, shape in layout]
     expected = sum(sizes)
     if vector.shape != (expected,):
@@ -111,7 +112,7 @@ def vector_to_params(vector: np.ndarray, layout) -> dict[str, np.ndarray]:
     params = {}
     offset = 0
     for (name, shape), size in zip(layout, sizes):
-        params[name] = vector[offset : offset + size].reshape(shape).copy()
+        params[name] = vector[offset : offset + size].reshape(shape)
         offset += size
     return params
 
@@ -157,6 +158,7 @@ class ForwardState:
     dense_pre: np.ndarray | None = None
     dense_bn: dict | None = None
     dense_mask: np.ndarray | None = None
+    dense_out: np.ndarray | None = None
     logits: np.ndarray | None = None
     probs: np.ndarray | None = None
 
@@ -498,18 +500,22 @@ class AdamState:
 
 def apply_update(params_vec, grad_vec, state: AdamState,
                  lr: float = ADAM_LR, betas=ADAM_BETAS, eps: float = ADAM_EPS):
-    """One Adam step on the flat parameter vector; returns the new vector."""
+    """One Adam step on the flat parameter vector, which it updates in
+    place, as it does ``state.m`` and ``state.v``; returns the vector."""
     if params_vec.shape != grad_vec.shape:
         raise ModelError("parameter/gradient length mismatch")
     if not np.isfinite(grad_vec).all():
         raise ModelError("non-finite gradient; training aborted")
     b1, b2 = betas
     state.step += 1
-    state.m = b1 * state.m + (1.0 - b1) * grad_vec
-    state.v = b2 * state.v + (1.0 - b2) * grad_vec**2
+    state.m *= b1
+    state.m += (1.0 - b1) * grad_vec
+    state.v *= b2
+    state.v += (1.0 - b2) * grad_vec**2
     m_hat = state.m / (1.0 - b1**state.step)
     v_hat = state.v / (1.0 - b2**state.step)
-    return params_vec - lr * m_hat / (np.sqrt(v_hat) + eps)
+    params_vec -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params_vec
 
 
 # ---------------------------------------------------------------------------
@@ -518,30 +524,36 @@ def apply_update(params_vec, grad_vec, state: AdamState,
 
 
 class Model:
-    """Parameter/buffer container bound to one ModelConfig."""
+    """Parameters and batch-norm buffers of one ModelConfig, held in two
+    vectors it owns (given ones are copied; by default they come from
+    ``init_params``/``init_buffers``): ``vector`` in ``param_layout`` order
+    and ``buffer_vector`` in ``buffer_layout`` order. ``params`` and
+    ``buffers`` are dicts of named views into them, built once."""
 
-    def __init__(self, config: ModelConfig, params=None, buffers=None):
+    def __init__(self, config: ModelConfig, vector=None, buffer_vector=None):
         self.config = config
         self.layout = param_layout(config)
-        self.params = params if params is not None else init_params(config)
-        self.buffers = buffers if buffers is not None else init_buffers(config)
+        buf_layout = buffer_layout(config)
+        if vector is None:
+            vector = params_to_vector(init_params(config), self.layout)
+        if buffer_vector is None:
+            buffer_vector = params_to_vector(init_buffers(config), buf_layout)
+        self.vector, self.buffer_vector = np.array(vector), np.array(buffer_vector)
+        self.params = vector_to_params(self.vector, self.layout)
+        self.buffers = vector_to_params(self.buffer_vector, buf_layout)
+
+    def __reduce__(self):
+        # rebuild through the constructor so the views point into the vectors
+        return Model, (self.config, self.vector, self.buffer_vector)
 
     def to_vector(self) -> np.ndarray:
-        return params_to_vector(self.params, self.layout)
-
-    def from_vector(self, vector: np.ndarray) -> None:
-        self.params = vector_to_params(vector, self.layout)
+        return self.vector.copy()
 
     def buffers_to_vector(self) -> np.ndarray:
-        return params_to_vector(self.buffers, buffer_layout(self.config))
-
-    def buffers_from_vector(self, vector: np.ndarray) -> None:
-        self.buffers = vector_to_params(vector, buffer_layout(self.config))
+        return self.buffer_vector.copy()
 
     def copy(self) -> "Model":
-        return Model(self.config,
-                     params={k: v.copy() for k, v in self.params.items()},
-                     buffers={k: v.copy() for k, v in self.buffers.items()})
+        return Model(self.config, self.vector, self.buffer_vector)
 
     def predict_proba(self, X, batch_size: int = 512) -> np.ndarray:
         """Eval-mode probabilities; pure, safe for concurrent readers."""
@@ -569,22 +581,19 @@ def train_epochs(model: Model, X, y, epochs: int, batch_size: int, seed: int,
     rng = np.random.default_rng([seed, 0x7E41])
     n = X.shape[0]
     if adam is None:
-        adam = AdamState.zeros(n_params(model.config), dtype=model.config.np_dtype)
-    vec = model.to_vector()
+        adam = AdamState.zeros(model.vector.size, dtype=model.config.np_dtype)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             if idx.shape[0] < 2:
                 continue
-            params = vector_to_params(vec, model.layout)
-            probs, fstate = forward(params, X[idx], "train", rng=rng,
+            probs, fstate = forward(model.params, X[idx], "train", rng=rng,
                                     buffers=model.buffers, config=model.config)
-            grads = backward(params, fstate, y[idx], pos_weight=pos_weight,
-                             config=model.config)
-            gvec = params_to_vector(grads, model.layout)
-            vec = apply_update(vec, gvec, adam, lr=lr)
-    model.from_vector(vec)
+            grads = backward(model.params, fstate, y[idx],
+                             pos_weight=pos_weight, config=model.config)
+            apply_update(model.vector, params_to_vector(grads, model.layout),
+                         adam, lr=lr)
     return adam
 
 
@@ -608,8 +617,8 @@ LAYOUT_VERSION = 1
 def save_checkpoint(path, model: Model, adam: AdamState | None = None,
                     norm_mean=None, norm_std=None) -> None:
     sections = {
-        "params": model.to_vector().astype("<f8"),
-        "buffers": model.buffers_to_vector().astype("<f8"),
+        "params": model.vector.astype("<f8"),
+        "buffers": model.buffer_vector.astype("<f8"),
     }
     if adam is not None:
         sections["adam_m"] = adam.m.astype("<f8")
@@ -647,9 +656,7 @@ def load_checkpoint(path):
         for name, size in header["sections"]:
             arrays[name] = np.frombuffer(fh.read(8 * size), dtype="<f8").astype(
                 config.np_dtype)
-    model = Model(config)
-    model.from_vector(arrays["params"])
-    model.buffers_from_vector(arrays["buffers"])
+    model = Model(config, arrays["params"], arrays["buffers"])
     adam = None
     if "adam_m" in arrays:
         adam = AdamState(m=arrays["adam_m"], v=arrays["adam_v"],

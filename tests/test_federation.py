@@ -233,9 +233,8 @@ class TestWorkerPool:
                 losses[client.icu_id] = nn.loss(
                     local.predict_proba(client.X_train), client.y_train,
                     pos_weight=client.pos_weight)
-            reference = reference.copy()
-            reference.from_vector(fedavg_aggregate(params))
-            reference.buffers_from_vector(fedavg_aggregate(buffers))
+            reference = nn.Model(MODEL_CONFIG, fedavg_aggregate(params),
+                                 fedavg_aggregate(buffers))
             assert log.client_losses == losses
         assert np.array_equal(fed_model.to_vector(), reference.to_vector())
         assert np.array_equal(fed_model.buffers_to_vector(),

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -61,8 +63,7 @@ class TestVectorRoundTrip:
 
 class TestForward:
     def test_zero_params_give_half(self):
-        model = nn.Model(TINY)
-        model.from_vector(np.zeros(nn.n_params(TINY)))
+        model = nn.Model(TINY, np.zeros(nn.n_params(TINY)))
         X, _ = _batch(np.random.default_rng(0))
         probs = model.predict_proba(X)
         assert np.allclose(probs, 0.5)
@@ -277,7 +278,7 @@ class TestAdam:
         state = nn.AdamState.zeros(5)
         params = np.arange(5.0)
         out = nn.apply_update(params, np.zeros(5), state)
-        assert np.array_equal(out, params)
+        assert np.array_equal(out, np.arange(5.0))
 
     def test_first_step_is_lr_times_sign(self):
         state = nn.AdamState.zeros(3)
@@ -343,6 +344,101 @@ class TestTrainEpochs:
         with pytest.raises(nn.ModelError):
             nn.train_epochs(model, np.zeros((0, 6, 4)), np.zeros(0),
                             epochs=1, batch_size=4, seed=0)
+
+
+def _reference_train_epochs(config, X, y, epochs, batch_size, seed,
+                            lr=nn.ADAM_LR, pos_weight=1.0):
+    """Training on a dict of separate arrays: a fresh unpack of the
+    parameter vector on every batch and an out-of-place Adam step.
+    Returns (parameter vector, buffers, Adam m, Adam v, Adam step)."""
+    layout = nn.param_layout(config)
+    vec = nn.params_to_vector(nn.init_params(config), layout)
+    buffers = nn.init_buffers(config)
+    m = np.zeros(vec.size, dtype=config.np_dtype)
+    v = np.zeros(vec.size, dtype=config.np_dtype)
+    step = 0
+    b1, b2 = nn.ADAM_BETAS
+    rng = np.random.default_rng([seed, 0x7E41])
+    for _ in range(epochs):
+        order = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], batch_size):
+            idx = order[start : start + batch_size]
+            if idx.shape[0] < 2:
+                continue
+            params = {name: arr.copy() for name, arr
+                      in nn.vector_to_params(vec, layout).items()}
+            _, state = nn.forward(params, X[idx], "train", rng=rng,
+                                  buffers=buffers, config=config)
+            grads = nn.backward(params, state, y[idx], pos_weight=pos_weight,
+                                config=config)
+            g = nn.params_to_vector(grads, layout)
+            step += 1
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g**2
+            m_hat = m / (1.0 - b1**step)
+            v_hat = v / (1.0 - b2**step)
+            vec = vec - lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
+    return vec, nn.params_to_vector(buffers, nn.buffer_layout(config)), m, v, step
+
+
+class TestFlatStorage:
+    """The model trains its own two vectors through views; the result is
+    bit-identical to unpacking a copy of every array on every batch."""
+
+    @pytest.mark.parametrize("dtype,x_dtype", [
+        ("float64", np.float64), ("float32", np.float32),
+        ("float32", np.float64)])
+    def test_train_epochs_matches_unpack_per_batch(self, dtype, x_dtype):
+        config = dataclasses.replace(TINY, dtype=dtype)
+        X, y = _batch(np.random.default_rng(16), b=75)
+        X = X.astype(x_dtype)
+        model = nn.Model(config)
+        adam = nn.train_epochs(model, X, y, epochs=2, batch_size=16, seed=3,
+                               pos_weight=1.7)
+        vec, buffers, m, v, step = _reference_train_epochs(
+            config, X, y, epochs=2, batch_size=16, seed=3, pos_weight=1.7)
+        assert model.vector.dtype == np.dtype(dtype)
+        assert np.array_equal(model.to_vector(), vec)
+        assert np.array_equal(model.buffers_to_vector(), buffers)
+        assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
+        assert adam.step == step == 10
+        for name, view in model.params.items():
+            assert np.shares_memory(view, model.vector), name
+
+    def test_pickled_model_keeps_views_into_its_vectors(self):
+        model = nn.Model(TINY)
+        X, y = _batch(np.random.default_rng(17), b=40)
+        nn.train_epochs(model, X, y, epochs=1, batch_size=16, seed=1)
+        restored = pickle.loads(pickle.dumps(model))
+        assert np.array_equal(restored.to_vector(), model.to_vector())
+        assert np.array_equal(restored.buffers_to_vector(),
+                              model.buffers_to_vector())
+        for name, view in restored.params.items():
+            assert np.shares_memory(view, restored.vector), name
+        for name, view in restored.buffers.items():
+            assert np.shares_memory(view, restored.buffer_vector), name
+        before = restored.to_vector()
+        nn.train_epochs(restored, X, y, epochs=1, batch_size=16, seed=2)
+        assert not np.array_equal(restored.to_vector(), before)
+
+    def test_to_vector_is_a_copy(self):
+        model = nn.Model(TINY)
+        params, buffers = model.to_vector(), model.buffers_to_vector()
+        model.to_vector()[:] = 7.0
+        model.buffers_to_vector()[:] = 7.0
+        assert np.array_equal(model.to_vector(), params)
+        assert np.array_equal(model.buffers_to_vector(), buffers)
+
+    def test_constructor_and_copy_own_their_storage(self):
+        values = np.arange(nn.n_params(TINY), dtype=float)
+        vec = values.copy()
+        model = nn.Model(TINY, vec)
+        twin = model.copy()
+        vec[:] = 0.0
+        model.params["out_b"][:] = -1.0  # the last value of the layout
+        assert np.array_equal(model.vector[:-1], values[:-1])
+        assert model.vector[-1] == -1.0
+        assert np.array_equal(twin.to_vector(), values)
 
 
 class TestCheckpoint:
