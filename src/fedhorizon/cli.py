@@ -155,11 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
                "threshold, time_channel, fixed_horizons, seed, out_dir, "
                "patience, min_delta, val_fraction, test_fraction, "
                "lstm_units, lstm_layers, dense_units, dropout, "
-               "dtype. [synth] keys: counts.<ICU>, shift.<ICU>, prevalence, "
+               "dtype (float64|float32). [synth] keys: counts.<ICU>, shift.<ICU>, prevalence, "
                "missingness, signal_amp, signal_lead, signal_base, onset_bias, amp_jitter, slow_frac, slow_level, sign_flip_p, noise_scale, ar_rho, "
                "seed. Folds run in order; the clients of a FedAvg round train "
                "in worker processes, one per usable CPU, as do the local and "
-               "central trainings of a fold.")
+               "central trainings of a fold and the formatting of the "
+               "timeseries.csv that synth writes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic cohort")

@@ -66,6 +66,9 @@ class ExperimentConfig:
         for h in self.fixed_horizons:
             if not (1 <= h <= 25):
                 raise ConfigError(f"fixed horizon {h} outside [1, 25]")
+        if self.dtype not in ("float64", "float32"):
+            raise ConfigError(f"dtype must be 'float64' or 'float32', "
+                              f"got {self.dtype!r}")
         if self.pos_weight != "auto":
             try:
                 if float(self.pos_weight) <= 0:
@@ -88,7 +91,22 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(text)
+
+
+_EXPECTED = {int: "an integer", float: "a number", _parse_bool: "a boolean"}
+
+
+def _convert(convert, raw, section: str | None, key: str):
+    """``convert(raw)``, or a ConfigError naming where the value came from
+    (a ``[section]`` of the config file, or an override), the key and the
+    value."""
+    try:
+        return convert(raw)
+    except (TypeError, ValueError):
+        where = f"[{section}]" if section else "override"
+        raise ConfigError(f"{where} {key} = {raw!r}: expected "
+                          f"{_EXPECTED[convert]}") from None
 
 
 def load_config_file(path: str) -> dict:
@@ -114,32 +132,28 @@ def resolve_config(file_path: str | None = None, overrides: dict | None = None
         synth_section = data.pop("synth", {})
         for key, raw in synth_section.items():
             if key.startswith("counts."):
-                counts[key.split(".", 1)[1]] = int(raw)
+                counts[key.split(".", 1)[1]] = _convert(int, raw, "synth", key)
             elif key.startswith("shift."):
-                shifts[key.split(".", 1)[1]] = float(raw)
-            elif key in ("prevalence", "missingness", "signal_amp",
-                         "signal_lead", "signal_base", "onset_bias",
-                         "amp_jitter", "slow_frac", "slow_level",
-                         "sign_flip_p", "noise_scale", "ar_rho"):
-                synth_kwargs[key] = float(raw)
+                shifts[key.split(".", 1)[1]] = _convert(float, raw, "synth",
+                                                        key)
+            elif key in _SYNTH_FLOAT_KEYS:
+                synth_kwargs[key] = _convert(float, raw, "synth", key)
             elif key == "seed":
-                synth_kwargs["seed"] = int(raw)
+                synth_kwargs["seed"] = _convert(int, raw, "synth", key)
             else:
                 raise ConfigError(f"unknown [synth] key {key!r}")
-        flat = {}
-        for section, pairs in data.items():
+        for section in data:
             if section not in ("data", "train", "run"):
                 raise ConfigError(f"unknown config section [{section}]")
-            flat.update(pairs)
-        _apply_overrides(cfg, flat)
+        for section, pairs in data.items():
+            _apply_overrides(cfg, pairs, section)
 
     if overrides:
         overrides = {k: v for k, v in overrides.items() if v is not None}
-        for key in ("prevalence", "missingness", "signal_amp", "signal_lead",
-                    "signal_base", "onset_bias", "amp_jitter", "slow_frac",
-                    "slow_level", "sign_flip_p", "noise_scale", "ar_rho"):
+        for key in _SYNTH_FLOAT_KEYS:
             if key in overrides:
-                synth_kwargs[key] = float(overrides.pop(key))
+                synth_kwargs[key] = _convert(float, overrides.pop(key), None,
+                                             key)
         _apply_overrides(cfg, overrides)
 
     synth_kwargs.setdefault("seed", cfg.seed)
@@ -148,6 +162,10 @@ def resolve_config(file_path: str | None = None, overrides: dict | None = None
     return cfg
 
 
+_SYNTH_FLOAT_KEYS = ("prevalence", "missingness", "signal_amp",
+                     "signal_lead", "signal_base", "onset_bias", "amp_jitter",
+                     "slow_frac", "slow_level", "sign_flip_p", "noise_scale",
+                     "ar_rho")
 _INT_KEYS = {"rounds", "local_epochs", "folds", "batch_size", "seed", "patience",
              "lstm_units", "lstm_layers", "dense_units"}
 _FLOAT_KEYS = {"learning_rate", "threshold", "min_delta", "val_fraction",
@@ -156,14 +174,18 @@ _BOOL_KEYS = {"time_channel"}
 _STR_KEYS = {"data_dir", "out_dir", "pos_weight", "dtype"}
 
 
-def _apply_overrides(cfg: ExperimentConfig, values: dict) -> None:
+def _apply_overrides(cfg: ExperimentConfig, values: dict,
+                     section: str | None = None) -> None:
+    """Set ``values`` on ``cfg``; ``section`` names the config-file section
+    they come from (None for overrides) in error messages."""
     for key, raw in values.items():
         if key in _INT_KEYS:
-            setattr(cfg, key, int(raw))
+            setattr(cfg, key, _convert(int, raw, section, key))
         elif key in _FLOAT_KEYS:
-            setattr(cfg, key, float(raw))
+            setattr(cfg, key, _convert(float, raw, section, key))
         elif key in _BOOL_KEYS:
-            setattr(cfg, key, raw if isinstance(raw, bool) else _parse_bool(raw))
+            setattr(cfg, key, raw if isinstance(raw, bool)
+                    else _convert(_parse_bool, raw, section, key))
         elif key in _STR_KEYS:
             setattr(cfg, key, str(raw))
         elif key == "settings":
@@ -172,8 +194,9 @@ def _apply_overrides(cfg: ExperimentConfig, values: dict) -> None:
             cfg.settings = tuple(raw)
         elif key == "fixed_horizons":
             if isinstance(raw, str):
-                raw = tuple(int(s) for s in raw.split(",") if s.strip())
-            cfg.fixed_horizons = tuple(int(h) for h in raw)
+                raw = [s for s in raw.split(",") if s.strip()]
+            cfg.fixed_horizons = tuple(_convert(int, h, section, key)
+                                       for h in raw)
         else:
             raise ConfigError(f"unknown config key {key!r}")
 

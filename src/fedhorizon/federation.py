@@ -9,27 +9,23 @@ federation is bit-identical to local training by construction.
 
 Client-side randomness derives solely from (seed, client index, round),
 so runs are reproducible regardless of execution order. Independent tasks
-run through one executor, ``_executor``: in a fork pool of worker
-processes, one per usable CPU, that inherit the shared data (the clients)
-when they start, or in-process when one worker is enough. Per FedAvg
-round only the two global vectors go out, and the trained vectors and
-losses come back. Aggregation stays in the calling process, in client
-order, so pooled and in-process runs are bit-identical. The one-client
-trainings of the Local and Central settings are independent of each
-other, so they go through the same executor, one training per task.
+run through ``pool.executor``: in a fork pool of worker processes, one
+per usable CPU, that inherit the shared data (the clients) when they
+start, or in-process when one worker is enough. Per FedAvg round only
+the two global vectors go out, and the trained vectors and losses come
+back. Aggregation stays in the calling process, in client order, so
+pooled and in-process runs are bit-identical. The one-client trainings of
+the Local and Central settings are independent of each other, so they go
+through the same executor, one training per task.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from . import nn
+from . import nn, pool
 from .metrics import confusion, f1
 from .schema import MAX_HORIZON
 
@@ -104,59 +100,16 @@ def _eval_loss(model: nn.Model, X, y, pos_weight: float) -> float:
     return nn.loss(probs, y, pos_weight=pos_weight)
 
 
-def worker_count(n_tasks: int) -> int:
-    """Worker processes for an ``_executor``: one per usable CPU, at most
-    one per task. One means the tasks run in-process."""
-    return min(len(os.sched_getaffinity(0)), n_tasks)
-
-
-# What the pool workers of the open executor share, set once when each
-# worker starts; the calling process never sets it.
-_worker_shared = None
-
-
-def _set_worker_shared(shared) -> None:
-    global _worker_shared
-    _worker_shared = shared
-
-
-def _map_in_process(task, shared, jobs) -> list:
-    return [task(job, shared) for job in jobs]
-
-
-@contextmanager
-def _executor(task, shared, n_tasks: int):
-    """Yields ``map_jobs(jobs)``, which returns ``[task(job, shared) ...]``.
-
-    With one worker (``worker_count(n_tasks)``) the tasks run in-process.
-    Otherwise they run in a fork pool whose workers inherit ``shared``
-    instead of unpickling a copy each (this package starts no threads to
-    fork from); the pool is terminated and joined on exit.
-    """
-    workers = worker_count(n_tasks)
-    if workers <= 1:
-        yield partial(_map_in_process, task, shared)
-        return
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, _set_worker_shared, (shared,))
-    try:
-        yield partial(pool.map, task, chunksize=1)
-    finally:
-        pool.terminate()
-        pool.join()
-
-
-def _client_task(job, shared: list[ClientState] | None = None):
+def _client_task(job, clients: list[ClientState]):
     """Train one client for one round from the global vectors.
 
     ``job`` is ``(position, config, params, buffers, round_index, seed,
-    local_epochs, batch_size, lr)`` and ``shared`` the clients (a pool
-    worker's inherited ones when None). Returns the trained parameter and
+    local_epochs, batch_size, lr)``. Returns the trained parameter and
     buffer vectors and the client's training loss.
     """
     (position, config, params, buffers, round_index, seed, local_epochs,
      batch_size, lr) = job
-    client = (_worker_shared if shared is None else shared)[position]
+    client = clients[position]
     local = nn.Model(config, params, buffers)
     try:
         nn.train_epochs(
@@ -179,13 +132,13 @@ def run_round(global_model: nn.Model, clients: list[ClientState],
     """One FedAvg round. Optimizer state is client-local and reset at the
     start of every round (only parameters are exchanged).
 
-    Client tasks run through ``map_jobs``, the map of an ``_executor``
+    Client tasks run through ``map_jobs``, the map of a ``pool.executor``
     opened on these clients, or in-process when it is None.
     """
     if not clients:
         raise FederationError("round requires at least one client")
     if map_jobs is None:
-        map_jobs = partial(_map_in_process, _client_task, clients)
+        map_jobs = pool.in_process(_client_task, clients)
     jobs = [(position, global_model.config, global_model.vector,
              global_model.buffer_vector, round_index, seed, local_epochs,
              batch_size, lr) for position in range(len(clients))]
@@ -243,9 +196,9 @@ def run_federated(clients: list[ClientState], model_config: nn.ModelConfig,
     ``min_delta`` (the round check_convergence reports), not the final
     round; with ``early_stop=False`` the final-round model is returned.
 
-    The clients train through an ``_executor``: in a fork pool of
-    ``worker_count`` processes, closed before this returns or raises, or
-    in-process for a single client.
+    The clients train through a ``pool.executor``: in a fork pool of
+    ``pool.worker_count`` processes, closed before this returns or
+    raises, or in-process for a single client.
     """
     if not clients:
         raise FederationError("no clients")
@@ -256,7 +209,7 @@ def run_federated(clients: list[ClientState], model_config: nn.ModelConfig,
     logs: list[RoundLog] = []
     best_f1 = -np.inf
     snapshot = None
-    with _executor(_client_task, clients, len(clients)) as map_jobs:
+    with pool.executor(_client_task, clients, len(clients)) as map_jobs:
         for round_index in range(1, rounds + 1):
             model, log = run_round(model, clients, round_index, seed,
                                    local_epochs=local_epochs,
@@ -303,10 +256,10 @@ def pool_clients(clients: list[ClientState]) -> ClientState:
     return pooled
 
 
-def _solo_task(position: int, shared: tuple | None = None):
+def _solo_task(position: int, shared: tuple):
     """Train one client of ``shared`` = (clients, model config, training
     arguments) as a one-client federation, in-process."""
-    clients, model_config, kwargs = _worker_shared if shared is None else shared
+    clients, model_config, kwargs = shared
     return run_federated([clients[position]], model_config, **kwargs)
 
 
@@ -314,14 +267,15 @@ def train_alone(clients: list[ClientState], model_config: nn.ModelConfig,
                 **kwargs) -> list[tuple[nn.Model, list[RoundLog]]]:
     """Train every client as its own one-client federation.
 
-    The trainings are independent, so they run through one ``_executor``
-    (a fork pool of ``worker_count`` processes for several clients),
-    largest client first. Results come back in client order.
+    The trainings are independent, so they run through one
+    ``pool.executor`` (a fork pool of ``pool.worker_count`` processes for
+    several clients), largest client first. Results come back in client
+    order.
     """
     order = sorted(range(len(clients)), key=lambda i: -clients[i].n_k)
-    with _executor(_solo_task, (clients, model_config, kwargs),
-                   len(clients)) as map_jobs:
-        trained = map_jobs(order)
+    with pool.executor(_solo_task, (clients, model_config, kwargs),
+                       len(clients)) as map_jobs:
+        trained = list(map_jobs(order))
     results = [None] * len(clients)
     for position, result in zip(order, trained):
         results[position] = result

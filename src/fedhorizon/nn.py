@@ -642,21 +642,43 @@ def save_checkpoint(path, model: Model, adam: AdamState | None = None,
 
 
 def load_checkpoint(path):
-    """Returns (model, adam_state_or_None, norm_mean_or_None, norm_std_or_None)."""
+    """Returns (model, adam_state_or_None, norm_mean_or_None, norm_std_or_None).
+
+    A file that is no whole checkpoint of this layout fails with a
+    ModelError naming the path, and the config key or section at fault.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != CHECKPOINT_MAGIC:
             raise ModelError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen))
-        if header["layout_version"] != LAYOUT_VERSION:
-            raise ModelError(f"unsupported layout version {header['layout_version']}")
-        config = ModelConfig(**header["config"])
+        try:
+            (hlen,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(hlen))
+            version = header["layout_version"]
+            config_fields, sections = header["config"], header["sections"]
+        except (struct.error, ValueError, KeyError, TypeError) as exc:
+            raise ModelError(
+                f"{path}: unreadable checkpoint header: {exc!r}") from None
+        if version != LAYOUT_VERSION:
+            raise ModelError(f"{path}: unsupported layout version {version}")
+        try:  # a TypeError names an unknown or missing key
+            config = ModelConfig(**config_fields)
+            dtype = config.np_dtype
+        except (TypeError, ModelError) as exc:
+            raise ModelError(f"{path}: bad model config: {exc}") from None
         arrays = {}
-        for name, size in header["sections"]:
-            arrays[name] = np.frombuffer(fh.read(8 * size), dtype="<f8").astype(
-                config.np_dtype)
-    model = Model(config, arrays["params"], arrays["buffers"])
+        for name, size in sections:
+            data = fh.read(8 * size)
+            if len(data) != 8 * size:
+                raise ModelError(f"{path}: section {name!r} holds "
+                                 f"{len(data) // 8} of its {size} values")
+            arrays[name] = np.frombuffer(data, dtype="<f8").astype(dtype)
+    try:
+        model = Model(config, arrays["params"], arrays["buffers"])
+    except KeyError as exc:
+        raise ModelError(f"{path}: no {exc.args[0]!r} section") from None
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None
     adam = None
     if "adam_m" in arrays:
         adam = AdamState(m=arrays["adam_m"], v=arrays["adam_v"],

@@ -9,8 +9,10 @@ its own mean shift to emulate client heterogeneity.
 Each ICU draws from its own seeded generator, stay by stay in a fixed
 order, so a seed always gives the same cohort and the same CSV bytes. The
 arithmetic then runs on whole arrays: one AR(1) recurrence over an ICU's
-(n, 30, T) stack, the drift for all of its septic stays at once, and
-``export_csv`` writes ``timeseries.csv`` a block of stays at a time.
+(n, 30, T) stack and the drift for all of its septic stays at once.
+``export_csv`` formats ``timeseries.csv`` a block of stays at a time, the
+blocks being the tasks of a ``pool.executor`` whose workers inherit the
+stays, and writes each block's text in block order as it arrives.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pool
 from .cohort import CohortPartition, PatientStay
 from .schema import ICU_NAMES, N_HOURS, STATIC_FEATURES, default_schema
 
@@ -276,7 +279,8 @@ def generate_cohort(config: SynthConfig) -> CohortPartition:
     return CohortPartition(schema=schema, stays_by_icu=stays_by_icu)
 
 
-# Stays per block of timeseries.csv; bounds the memory export_csv uses.
+# Stays per block of timeseries.csv, the unit of export_csv's tasks; bounds
+# the memory a block takes.
 EXPORT_BLOCK_STAYS = 256
 
 
@@ -287,11 +291,13 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-len(",\r\n")]
 
 
-def _timeseries_rows(stays: list[PatientStay], cols: list[int],
-                     middles: np.ndarray) -> str:
-    """The timeseries.csv rows of the stays' observed cells, in (stay,
-    feature, hour) order. ``middles[f * 30 + h]`` holds the row's text
-    between the stay id and the value for column ``cols[f]`` at hour h."""
+def _timeseries_block(block: slice, shared: tuple) -> str:
+    """The timeseries.csv rows of the observed cells of ``stays[block]``,
+    in (stay, feature, hour) order, with ``shared`` = (stays, cols,
+    middles). ``middles[f * 30 + h]`` holds the row's text between the
+    stay id and the value for column ``cols[f]`` at hour h."""
+    stays, cols, middles = shared
+    stays = stays[block]
     observed = np.stack([s.observed[:, cols] for s in stays])
     grid = np.stack([s.grid[:, cols] for s in stays])
     observed, grid = observed.transpose(0, 2, 1), grid.transpose(0, 2, 1)
@@ -310,10 +316,12 @@ def export_csv(partition: CohortPartition, out_dir) -> dict[str, str]:
 
     Only observed cells are emitted as observations (at mid-bucket hour
     offsets), so the re-ingested missingness mask matches exactly.
-    ``timeseries.csv`` is written EXPORT_BLOCK_STAYS stays at a time from
-    whole arrays; its bytes are those a ``csv.writer`` row per observed
-    cell would give (values as ``repr`` of Python floats, ``\\r\\n`` line
-    ends), so a seed's cohort always exports to the same files.
+    ``timeseries.csv`` is formatted EXPORT_BLOCK_STAYS stays at a time
+    from whole arrays, the blocks in a ``pool.executor`` (forked before
+    the file is opened) and written in block order; its bytes are those a
+    ``csv.writer`` row per observed cell would give (values as ``repr`` of
+    Python floats, ``\\r\\n`` line ends), so a seed's cohort always
+    exports to the same files.
     """
     os.makedirs(out_dir, exist_ok=True)
     schema = partition.schema
@@ -344,11 +352,13 @@ def export_csv(partition: CohortPartition, out_dir) -> dict[str, str]:
     middles = np.array([f",{h + 0.5!r},{_csv_field(spec.name)},"
                         for spec in ts_specs for h in range(N_HOURS)],
                        dtype=object)
-    with open(paths["timeseries"], "w", newline="") as fh:
+    blocks = [slice(start, start + EXPORT_BLOCK_STAYS)
+              for start in range(0, len(stays), EXPORT_BLOCK_STAYS)]
+    with pool.executor(_timeseries_block, (stays, cols, middles),
+                       len(blocks)) as map_jobs, \
+            open(paths["timeseries"], "w", newline="") as fh:
         fh.write("stay_id,hour_offset,feature,value\r\n")
-        for start in range(0, len(stays), EXPORT_BLOCK_STAYS):
-            fh.write(_timeseries_rows(stays[start:start + EXPORT_BLOCK_STAYS],
-                                      cols, middles))
+        fh.writelines(map_jobs(blocks))
     with open(paths["labels"], "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["stay_id", "sepsis_onset_hour"])

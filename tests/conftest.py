@@ -1,8 +1,22 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from fedhorizon.cohort import PatientStay
 from fedhorizon.schema import N_HOURS, default_schema
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running, after stopping
+    the process so that the next test starts clean."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert left == [], f"child processes left running: {left}"
 
 
 @pytest.fixture(scope="session")

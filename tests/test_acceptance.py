@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from fedhorizon import experiment, federation, nn
+from fedhorizon import experiment, nn, pool
 from fedhorizon.cohort import PatientStay
 from fedhorizon.config import resolve_config
 from fedhorizon.federation import (
@@ -330,7 +330,7 @@ def test_criterion_9_determinism(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             if name == "in_process":
                 # every client task in this process instead of a worker pool
-                patch.setattr(federation, "worker_count",
+                patch.setattr(pool, "worker_count",
                               lambda n_clients: 1)
             result = experiment.run_all_folds(partition, run_cfg,
                                               include_fixed=True)

@@ -119,6 +119,51 @@ class TestFileAndOverrides:
             resolve_config(overrides={"time_channel": "maybe"})
 
 
+class TestBadValuesNamed:
+    """A value of the wrong type fails with a ConfigError naming where it
+    came from, the key and the value."""
+
+    write = TestFileAndOverrides.write
+
+    @pytest.mark.parametrize("text, message", [
+        ("[train]\nrounds = abc\n",
+         "[train] rounds = 'abc': expected an integer"),
+        ("[synth]\ncounts.MICU = x\n",
+         "[synth] counts.MICU = 'x': expected an integer"),
+        ("[synth]\nshift.CCU = far\n",
+         "[synth] shift.CCU = 'far': expected a number"),
+        ("[synth]\nprevalence = half\n",
+         "[synth] prevalence = 'half': expected a number"),
+        ("[run]\nlearning_rate = fast\n",
+         "[run] learning_rate = 'fast': expected a number"),
+        ("[data]\ntime_channel = maybe\n",
+         "[data] time_channel = 'maybe': expected a boolean"),
+        ("[run]\nfixed_horizons = 25,x\n",
+         "[run] fixed_horizons = 'x': expected an integer"),
+    ])
+    def test_file_value(self, tmp_path, text, message):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ConfigError) as info:
+            resolve_config(path)
+        assert str(info.value) == message
+
+    def test_override_value(self):
+        with pytest.raises(ConfigError,
+                           match="override folds = 'five': expected an "
+                                 "integer"):
+            resolve_config(overrides={"folds": "five"})
+        with pytest.raises(ConfigError,
+                           match="override missingness = 'some'"):
+            resolve_config(overrides={"missingness": "some"})
+
+    def test_dtype_limited_to_float64_and_float32(self, tmp_path):
+        path = self.write(tmp_path, "[run]\ndtype = float16x\n")
+        with pytest.raises(ConfigError, match="dtype .*'float16x'"):
+            resolve_config(path)
+        for dtype in ("float64", "float32"):
+            assert resolve_config(overrides={"dtype": dtype}).dtype == dtype
+
+
 class TestSerialization:
     def test_hash_stable(self):
         assert config_hash(resolve_config()) == config_hash(resolve_config())

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from fedhorizon import experiment, federation
+from fedhorizon import experiment, pool
 from fedhorizon.config import resolve_config
 from fedhorizon.schema import ICU_NAMES, INPUT_WINDOW
 from fedhorizon.synthgen import SynthConfig, generate_cohort
@@ -102,7 +102,7 @@ class TestRunAllFolds:
                                          monkeypatch):
         """Pooled client tasks (the `run` fixture) reproduce in-process
         training."""
-        monkeypatch.setattr(federation, "worker_count", lambda n_clients: 1)
+        monkeypatch.setattr(pool, "worker_count", lambda n_clients: 1)
         seq = experiment.run_all_folds(tiny_partition, tiny_config())
         for par_fr, seq_fr in zip(run.fold_results, seq.fold_results):
             assert seq_fr.report == par_fr.report

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedhorizon import federation, nn
+from fedhorizon import federation, nn, pool
 from fedhorizon.federation import (
     ClientState, FederationError, RoundLog, check_convergence, client_seed,
     convergence_rounds, fedavg_aggregate, filter_client_horizon, pool_clients,
@@ -209,11 +209,11 @@ class TestWorkerPool:
     @pytest.fixture
     def one_worker_per_client(self, monkeypatch):
         """Pool every multi-client run, whatever the host's CPU count."""
-        monkeypatch.setattr(federation, "worker_count", lambda n_clients: n_clients)
+        monkeypatch.setattr(pool, "worker_count", lambda n_clients: n_clients)
 
     def test_worker_count_bounded_by_clients(self):
-        assert federation.worker_count(1) == 1
-        assert 1 <= federation.worker_count(64) <= 64
+        assert pool.worker_count(1) == 1
+        assert 1 <= pool.worker_count(64) <= 64
 
     def test_pooled_run_equals_serial_reference(self, one_worker_per_client):
         clients = [make_client(i, n=20 + 6 * i) for i in range(3)]
@@ -260,7 +260,7 @@ class TestWorkerPool:
         pooled = federation.run_settings(("local", "central"), clients,
                                          MODEL_CONFIG, seed=5, rounds=2)
         assert multiprocessing.active_children() == []
-        monkeypatch.setattr(federation, "worker_count", lambda n_clients: 1)
+        monkeypatch.setattr(pool, "worker_count", lambda n_clients: 1)
         alone = federation.run_settings(("local", "central"), clients,
                                         MODEL_CONFIG, seed=5, rounds=2)
         assert list(pooled) == ["local", "central"]

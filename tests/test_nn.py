@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -464,3 +466,60 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(nn.ModelError):
             nn.load_checkpoint(path)
+
+    @staticmethod
+    def saved(tmp_path):
+        """A checkpoint's path, header (as a dict) and section bytes."""
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(path, nn.Model(TINY))
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        return path, json.loads(blob[12:12 + hlen]), blob[12 + hlen:]
+
+    @staticmethod
+    def write(path, header, body=b""):
+        blob = json.dumps(header).encode()
+        path.write_bytes(nn.CHECKPOINT_MAGIC + struct.pack("<I", len(blob))
+                         + blob + body)
+
+    def test_unknown_config_key_named(self, tmp_path):
+        path, header, body = self.saved(tmp_path)
+        header["config"]["attention_heads"] = 2
+        self.write(path, header, body)
+        with pytest.raises(nn.ModelError) as info:
+            nn.load_checkpoint(path)
+        assert str(path) in str(info.value)
+        assert "'attention_heads'" in str(info.value)
+
+    def test_missing_config_key_named(self, tmp_path):
+        path, header, body = self.saved(tmp_path)
+        del header["config"]["n_features"]
+        self.write(path, header, body)
+        with pytest.raises(nn.ModelError, match="n_features") as info:
+            nn.load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_truncated_header_named(self, tmp_path):
+        path, _, _ = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(nn.ModelError, match="unreadable checkpoint "
+                                                 "header") as info:
+            nn.load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_missing_section_named(self, tmp_path):
+        path, header, body = self.saved(tmp_path)
+        header["sections"] = header["sections"][:1]
+        self.write(path, header, body)
+        with pytest.raises(nn.ModelError, match="no 'buffers' section") \
+                as info:
+            nn.load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_short_section_named(self, tmp_path):
+        path, header, body = self.saved(tmp_path)
+        self.write(path, header, body[:-8])
+        with pytest.raises(nn.ModelError) as info:
+            nn.load_checkpoint(path)
+        assert str(path) in str(info.value)
+        assert "section 'buffers'" in str(info.value)

@@ -1,11 +1,12 @@
 import csv
 import dataclasses
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from fedhorizon import synthgen
+from fedhorizon import pool, synthgen
 from fedhorizon.cohort import (
     CohortPartition, PatientStay, apply_inclusion, ingest_csv,
 )
@@ -493,3 +494,46 @@ class TestBlockExport:
         back = ingest_csv(paths["static"], paths["timeseries"],
                           paths["labels"])
         assert_same_cohort(back, part)
+
+
+class TestPooledExport:
+    """The timeseries.csv blocks formatted in-process and in a fork pool."""
+
+    @staticmethod
+    def force_workers(monkeypatch, workers):
+        """Run the export's blocks on ``workers`` processes, and fail a
+        block formatted anywhere else."""
+        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: workers)
+        parent, real = os.getpid(), synthgen._timeseries_block
+
+        def checked(block, shared):
+            assert (os.getpid() != parent) == (workers > 1)
+            return real(block, shared)
+        monkeypatch.setattr(synthgen, "_timeseries_block", checked)
+
+    @pytest.mark.parametrize("block", [3, synthgen.EXPORT_BLOCK_STAYS])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch, workers,
+                                    block):
+        part = generate_cohort(SynthConfig(
+            counts={icu: 40 for icu in ICU_NAMES}, seed=11))
+        assert len(part.all_stays()) > synthgen.EXPORT_BLOCK_STAYS
+        self.force_workers(monkeypatch, workers)
+        monkeypatch.setattr(synthgen, "EXPORT_BLOCK_STAYS", block)
+        assert_same_files(export_csv(part, tmp_path / "new"),
+                          reference_export_csv(part, tmp_path / "old"))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_error_fails_export(self, tmp_path, monkeypatch, workers):
+        self.force_workers(monkeypatch, workers)
+        monkeypatch.setattr(synthgen, "EXPORT_BLOCK_STAYS", 3)
+        real = synthgen._timeseries_block
+
+        def failing(block, shared):
+            if block.start == 6:
+                raise SynthError("no rows for the block at stay 6")
+            return real(block, shared)
+        monkeypatch.setattr(synthgen, "_timeseries_block", failing)
+        with pytest.raises(SynthError, match="block at stay 6"):
+            export_csv(hand_built_partition(), tmp_path)
+        assert multiprocessing.active_children() == []
