@@ -110,23 +110,32 @@ def aggregate_hours(stay: np.ndarray, hour: np.ndarray, feature: np.ndarray,
     measurement wins; identical timestamps are broken by row order (later
     row wins). Rows at or past hour 30 are ignored.
 
+    The winner of each cell comes from two ``np.maximum.at`` reductions, no
+    sort: the latest hour per cell, then the last row among the rows at
+    that hour. Row indices are int32, and each full-size scratch array is
+    freed before the next is allocated, which keeps the transient peak of
+    a whole-cohort ingest low.
+
     Returns (grid, observed) of shape (n_stays, 30, n_features); unobserved
     cells are nan.
     """
-    keep = hour < N_HOURS
-    hour = hour[keep]
-    cell = ((stay[keep] * N_HOURS + hour.astype(np.intp)) * n_features
-            + feature[keep])
-    # by cell, then by hour; lexsort is stable, so equal hours keep row order
-    order = np.lexsort((hour, cell))
-    cell = cell[order]
-    last = np.ones(cell.shape, dtype=bool)  # the last row of a cell wins
-    last[:-1] = cell[1:] != cell[:-1]
+    rows = np.flatnonzero(hour < N_HOURS).astype(np.int32)
+    row_hour = hour[rows]
+    cell = ((stay[rows] * N_HOURS + row_hour.astype(np.intp)) * n_features
+            + feature[rows])
     size = n_stays * N_HOURS * n_features
-    grid = np.full(size, np.nan)
-    observed = np.zeros(size, dtype=bool)
-    grid[cell[last]] = value[keep][order[last]]
-    observed[cell[last]] = True
+    latest = np.full(size, -np.inf)
+    np.maximum.at(latest, cell, row_hour)
+    at_latest = row_hour == latest[cell]
+    del latest, row_hour
+    rows, cell = rows[at_latest], cell[at_latest]
+    del at_latest
+    winner = np.full(size, -1, dtype=np.int32)
+    np.maximum.at(winner, cell, rows)
+    del rows, cell
+    # a cell without a row (winner -1) takes the nan appended to the values
+    grid = np.append(value, np.nan)[winner]
+    observed = winner >= 0
     shape = (n_stays, N_HOURS, n_features)
     return grid.reshape(shape), observed.reshape(shape)
 
@@ -158,6 +167,17 @@ def hourly_aggregate(
     return grid[0], observed[0]
 
 
+class UnfillableColumn(CohortError):
+    """A grid column without a measurement whose feature has no finite
+    training mean; ``grid`` and ``feature`` index the stack."""
+
+    def __init__(self, grid: int, feature: int):
+        super().__init__(f"feature column {feature} fully missing and no "
+                         f"training mean available (grid {grid})")
+        self.grid = grid
+        self.feature = feature
+
+
 def impute_grids(grids: np.ndarray, observed: np.ndarray,
                  training_means: np.ndarray) -> np.ndarray:
     """Fill the missing cells of a (N, 30, F) stack: linear interpolation
@@ -167,34 +187,50 @@ def impute_grids(grids: np.ndarray, observed: np.ndarray,
     Interior cells use np.interp's own formula, slope * (t - t0) + y0 with
     slope = (y1 - y0) / (t1 - t0) between the observed hours t0 < t < t1, so
     on finite values the result equals a per-column np.interp bit for bit.
-    Observed cells are never altered. Returns a new complete stack.
+    The previous and next observed hour of every cell are found in int8
+    (for 30 hours), carried one hour at a time; the formula and the edge
+    and mean rules are then evaluated only at the unobserved cells, through
+    flat indices into a copy of the stack, so observed cells are copied and
+    never altered. Returns a new complete stack. Raises UnfillableColumn
+    for a column without a measurement whose training mean is not finite.
     """
     n_stays, n_hours, n_features = grids.shape
     if training_means.shape != (n_features,):
         raise CohortError("training_means length does not match feature count")
-    empty = ~observed.any(axis=1)  # (N, F) columns without a measurement
+    # the smallest signed type that holds -1 .. n_hours: int8 for 30 hours
+    hours = np.arange(n_hours, dtype=np.min_scalar_type(-n_hours - 1))
+    hours = hours[:, None]
+    # last observed hour at or before t (-1: none), first at or after t
+    # (n_hours: none)
+    prev = observed * (hours + 1) - 1
+    nxt = n_hours - observed * (n_hours - hours)
+    for h in range(1, n_hours):
+        np.maximum(prev[:, h - 1], prev[:, h], out=prev[:, h])
+        np.minimum(nxt[:, -h], nxt[:, -h - 1], out=nxt[:, -h - 1])
+    empty = prev[:, -1] < 0  # (N, F) columns without a measurement
     unfillable = empty & ~np.isfinite(training_means)
     if unfillable.any():
         stay, f = np.argwhere(unfillable)[0]
-        raise CohortError(
-            f"feature column {f} fully missing and no training mean available"
-            f" (grid {stay})"
-        )
-    hours = np.arange(n_hours)[:, None]
-    # last observed hour at or before t (-1: none), first at or after t (n_hours: none)
-    prev = np.maximum.accumulate(np.where(observed, hours, -1), axis=1)
-    after = np.where(observed, hours, n_hours)[:, ::-1]
-    nxt = np.minimum.accumulate(after, axis=1)[:, ::-1]
-    y0 = np.take_along_axis(grids, np.maximum(prev, 0), axis=1)
-    y1 = np.take_along_axis(grids, np.minimum(nxt, n_hours - 1), axis=1)
+        raise UnfillableColumn(int(stay), int(f))
+    out = np.array(grids, dtype=np.float64)
+    flat = out.reshape(-1)
+    missing = np.flatnonzero(~observed)
+    t0 = prev.reshape(-1)[missing].astype(np.intp)
+    t1 = nxt.reshape(-1)[missing].astype(np.intp)
+    t = missing // n_features % n_hours
+    # a column's cell at hour h sits (h - t) * n_features cells from hour t
+    y0 = flat[missing + (np.maximum(t0, 0) - t) * n_features]
+    y1 = flat[missing + (np.minimum(t1, n_hours - 1) - t) * n_features]
     with np.errstate(divide="ignore", invalid="ignore"):
-        # nan or inf only in cells the edge and observed rules below replace
-        slope = (y1 - y0) / (nxt - prev)
-        out = slope * (hours - prev) + y0
-    out = np.where(prev < 0, y1, out)  # before the first observation
-    out = np.where(nxt == n_hours, y0, out)  # after the last
-    out = np.where(observed, grids, out)
-    return np.where(empty[:, None, :], training_means, out)
+        # nan or inf only in cells the edge and mean rules below replace
+        slope = (y1 - y0) / (t1 - t0)
+        fill = slope * (t - t0) + y0
+    fill = np.where(t0 < 0, y1, fill)  # before the first observation
+    fill = np.where(t1 == n_hours, y0, fill)  # after the last
+    fill = np.where((t0 < 0) & (t1 == n_hours),
+                    training_means[missing % n_features], fill)
+    flat[missing] = fill
+    return out
 
 
 def impute(grid: np.ndarray, observed: np.ndarray, training_means: np.ndarray):

@@ -48,6 +48,9 @@ class ModelConfig:
             raise ModelError("all size fields must be positive")
         if not (0.0 <= self.dropout < 1.0):
             raise ModelError(f"dropout {self.dropout} outside [0, 1)")
+        if self.dtype not in ("float64", "float32"):
+            raise ModelError(f"dtype must be 'float64' or 'float32', "
+                             f"got {self.dtype!r}")
 
     @property
     def np_dtype(self):
@@ -663,9 +666,9 @@ def load_checkpoint(path):
             raise ModelError(f"{path}: unsupported layout version {version}")
         try:  # a TypeError names an unknown or missing key
             config = ModelConfig(**config_fields)
-            dtype = config.np_dtype
         except (TypeError, ModelError) as exc:
             raise ModelError(f"{path}: bad model config: {exc}") from None
+        dtype = config.np_dtype
         arrays = {}
         for name, size in sections:
             data = fh.read(8 * size)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cohort import PatientStay
 from .schema import INPUT_WINDOW, MAX_HORIZON, N_HOURS
@@ -50,6 +49,11 @@ def cut_windows(grids: np.ndarray, onsets: np.ndarray,
     a window excludes it to avoid label leakage. Non-septic stays yield all
     25 windows with label 0, septic ones their kept windows with label 1,
     possibly none. Windows come in stack order, then by start hour.
+
+    Each kept window's six rows are gathered once, by row index, from the
+    stack, or with the time channel from a copy of the stack that already
+    has the channel's column; the channel, t / 24 on all six rows of a
+    window starting at t, is written into the windows after.
     """
     n_stays, _, n_features = grids.shape
     if np.isnan(grids).any():
@@ -58,10 +62,11 @@ def cut_windows(grids: np.ndarray, onsets: np.ndarray,
     starts = np.arange(N_HOURS - INPUT_WINDOW + 1)  # t = 0..24
     keep = starts + INPUT_WINDOW < onsets[:, None]  # (N, 25)
     source, start = np.nonzero(keep)
-    # (N, 25, 6, F) view of every window
-    windows = sliding_window_view(grids, INPUT_WINDOW, axis=1).swapaxes(2, 3)
-    X = np.empty((start.size, INPUT_WINDOW, n_features + int(time_channel)))
-    X[:, :, :n_features] = windows[keep]
+    rows = grids.reshape(-1, n_features)
+    if time_channel:  # room for the channel, written per window below
+        rows = np.concatenate([rows, np.zeros((len(rows), 1))], axis=1)
+    first = source * N_HOURS + start
+    X = np.take(rows, first[:, None] + np.arange(INPUT_WINDOW), axis=0)
     if time_channel:
         X[:, :, n_features] = (start / (N_HOURS - INPUT_WINDOW))[:, None]
     return Windows(

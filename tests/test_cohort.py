@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedhorizon.cohort import (
-    CohortError, Normalization, RawObservation, aggregate_hours,
-    apply_inclusion, hourly_aggregate, impute, ingest_csv, make_splits,
-    training_feature_means,
+    CohortError, Normalization, RawObservation, UnfillableColumn,
+    aggregate_hours, apply_inclusion, hourly_aggregate, impute, impute_grids,
+    ingest_csv, make_splits, training_feature_means,
 )
 from fedhorizon.schema import SchemaError, default_schema
 from fedhorizon.synthgen import SynthConfig, export_csv, generate_cohort
@@ -102,6 +102,26 @@ def _columns(rows):
             np.array(feature, dtype=np.intp), np.array(value, dtype=np.float64))
 
 
+def _lexsort_aggregate(stay, hour, feature, value, n_stays, n_features):
+    """The sort-based aggregation aggregate_hours replaced: sort rows by
+    cell, then stably by hour, and keep the last row of each cell."""
+    keep = hour < 30
+    hour = hour[keep]
+    cell = ((stay[keep] * 30 + hour.astype(np.intp)) * n_features
+            + feature[keep])
+    order = np.lexsort((hour, cell))
+    cell = cell[order]
+    last = np.ones(cell.shape, dtype=bool)
+    last[:-1] = cell[1:] != cell[:-1]
+    size = n_stays * 30 * n_features
+    grid = np.full(size, np.nan)
+    observed = np.zeros(size, dtype=bool)
+    grid[cell[last]] = value[keep][order[last]]
+    observed[cell[last]] = True
+    shape = (n_stays, 30, n_features)
+    return grid.reshape(shape), observed.reshape(shape)
+
+
 ROWS = st.lists(st.tuples(
     st.integers(0, 2),
     # quarter hours: many same-hour ties, and offsets at or past hour 30
@@ -131,6 +151,126 @@ class TestAggregateHours:
         ref_grid, ref_observed = _aggregate_rows(rows, 2, 3)
         assert np.array_equal(observed, ref_observed)
         assert np.array_equal(grid, ref_grid, equal_nan=True)
+
+    @given(ROWS)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_lexsort_aggregation_bit_for_bit(self, rows):
+        grid, observed = aggregate_hours(*_columns(rows), 3, 4)
+        ref_grid, ref_observed = _lexsort_aggregate(*_columns(rows), 3, 4)
+        assert observed.tobytes() == ref_observed.tobytes()
+        assert grid.tobytes() == ref_grid.tobytes()
+
+    def test_exact_duplicates_apart_in_file_order(self):
+        # (stay 1, hour 4.5, feature 2) three times, other rows between;
+        # the last of them in file order wins, also over an earlier hour
+        rows = [(1, 4.5, 2, 10.0), (0, 4.5, 2, 1.0), (1, 4.25, 2, 7.0),
+                (1, 4.5, 2, 20.0), (1, 4.5, 0, 3.0), (1, 9.0, 2, 5.0),
+                (1, 4.5, 2, 30.0), (1, 4.0, 2, 40.0), (0, 4.5, 2, 2.0)]
+        grid, observed = aggregate_hours(*_columns(rows), 2, 3)
+        assert grid[1, 4, 2] == 30.0
+        assert grid[0, 4, 2] == 2.0
+        assert observed.sum() == 4
+        ref_grid, ref_observed = _lexsort_aggregate(*_columns(rows), 2, 3)
+        assert observed.tobytes() == ref_observed.tobytes()
+        assert grid.tobytes() == ref_grid.tobytes()
+        ref_grid, _ = _aggregate_rows(rows, 2, 3)
+        assert np.array_equal(grid, ref_grid, equal_nan=True)
+
+
+def _full_stack_impute(grids, observed, training_means):
+    """The whole-stack imputation impute_grids replaced: previous and next
+    observed hours of every cell, np.interp's formula on every cell, then
+    the edge, observed and training-mean rules as full-stack selections."""
+    n_hours = grids.shape[1]
+    empty = ~observed.any(axis=1)
+    hours = np.arange(n_hours)[:, None]
+    prev = np.maximum.accumulate(np.where(observed, hours, -1), axis=1)
+    after = np.where(observed, hours, n_hours)[:, ::-1]
+    nxt = np.minimum.accumulate(after, axis=1)[:, ::-1]
+    y0 = np.take_along_axis(grids, np.maximum(prev, 0), axis=1)
+    y1 = np.take_along_axis(grids, np.minimum(nxt, n_hours - 1), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (y1 - y0) / (nxt - prev)
+        out = slope * (hours - prev) + y0
+    out = np.where(prev < 0, y1, out)
+    out = np.where(nxt == n_hours, y0, out)
+    out = np.where(observed, grids, out)
+    return np.where(empty[:, None, :], training_means, out)
+
+
+# how one (stay, feature) column of a test stack is observed
+COLUMN_KINDS = ("random", "random", "empty", "one", "first", "last",
+                "first_and_last", "full")
+
+
+def _column_mask(kind, rng):
+    mask = np.zeros(30, dtype=bool)
+    if kind == "random":
+        mask = rng.random(30) < rng.uniform(0.05, 0.95)
+    elif kind == "one":
+        mask[rng.integers(30)] = True
+    elif kind in ("first", "first_and_last"):
+        mask[0] = True
+    if kind in ("last", "first_and_last"):
+        mask[29] = True
+    if kind == "full":
+        mask[:] = True
+    return mask
+
+
+class TestImputeGridsMatchesFullStack:
+    @given(st.integers(0, 4), st.integers(1, 4), st.data(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, n_stays, n_features, data, seed):
+        kinds = data.draw(st.lists(st.sampled_from(COLUMN_KINDS),
+                                   min_size=n_stays * n_features,
+                                   max_size=n_stays * n_features))
+        rng = np.random.default_rng(seed)
+        observed = np.zeros((n_stays, 30, n_features), dtype=bool)
+        for i, kind in enumerate(kinds):
+            observed[i // n_features, :, i % n_features] = _column_mask(
+                kind, rng)
+        scale = 10.0 ** rng.integers(-3, 6)
+        grids = np.where(observed, rng.normal(size=observed.shape) * scale,
+                         np.nan)
+        means = rng.normal(size=n_features) * scale
+        out = impute_grids(grids, observed, means)
+        want = _full_stack_impute(grids, observed, means)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
+        assert not np.isnan(out).any()
+
+    @pytest.mark.parametrize("n_stays", [0, 3])
+    def test_fully_observed_stack_is_copied(self, n_stays):
+        grids = np.random.default_rng(5).normal(size=(n_stays, 30, 4))
+        observed = np.ones(grids.shape, dtype=bool)
+        out = impute_grids(grids, observed, np.full(4, np.nan))
+        assert out.tobytes() == grids.tobytes()
+        assert not np.shares_memory(out, grids)
+
+    def test_non_contiguous_stack(self):
+        rng = np.random.default_rng(4)
+        observed = rng.random((6, 30, 5)) < 0.5
+        observed[1, :, 2] = False
+        grids = np.where(observed, rng.normal(size=observed.shape), np.nan)
+        means = rng.normal(size=5)
+        out = impute_grids(grids[::2], observed[::2], means)
+        want = _full_stack_impute(grids[::2], observed[::2], means)
+        assert out.tobytes() == want.tobytes()
+
+    def test_unfillable_column_names_grid_and_feature(self):
+        observed = np.ones((3, 30, 4), dtype=bool)
+        observed[:, :, 3] = False
+        observed[:, 5, 3] = True  # a mean is needed only for empty columns
+        grids = np.where(observed, 1.0, np.nan)
+        means = np.array([0.0, np.nan, 0.0, np.nan])
+        assert not np.isnan(impute_grids(grids, observed, means)).any()
+        observed[2, :, 1] = False
+        with pytest.raises(UnfillableColumn) as info:
+            impute_grids(np.where(observed, 1.0, np.nan), observed, means)
+        assert (info.value.grid, info.value.feature) == (2, 1)
+        assert isinstance(info.value, CohortError)
 
 
 class TestImpute:

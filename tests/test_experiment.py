@@ -60,6 +60,28 @@ class TestPrepareFold:
         assert ts.window_ends.min() >= INPUT_WINDOW - 1
         assert ts.window_ends.max() <= 29
 
+    def test_feature_no_stay_records_names_icu_stay_and_feature(self):
+        from dataclasses import replace
+        from fedhorizon.cohort import CohortError, make_splits
+        part = generate_cohort(SynthConfig(
+            counts={icu: 10 for icu in ICU_NAMES}, seed=11))
+        col = part.schema.index("fio2")
+        ccu = []
+        for stay in part.stays_by_icu["CCU"]:
+            observed = stay.observed.copy()
+            observed[:, col] = False
+            ccu.append(replace(stay, observed=observed,
+                               grid=np.where(observed, stay.grid, np.nan)))
+        part.stays_by_icu["CCU"] = ccu
+        cfg = tiny_config()
+        split = make_splits(part, cfg.test_fraction, cfg.folds, cfg.seed)
+        first, _ = split.train_test_stays("CCU", 0)
+        with pytest.raises(CohortError) as info:
+            experiment.prepare_fold(split, 0, cfg)
+        assert str(info.value) == (
+            f"ICU CCU, stay {first[0].stay_id!r}: feature 'fio2' fully "
+            f"missing and no training mean available")
+
     def test_deterministic(self, tiny_partition):
         from fedhorizon.cohort import make_splits
         cfg = tiny_config()

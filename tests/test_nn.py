@@ -47,6 +47,11 @@ class TestInit:
         with pytest.raises(nn.ModelError):
             nn.ModelConfig(n_features=4, dropout=1.0)
 
+    @pytest.mark.parametrize("dtype", ["float16x", "float16", "int64", ""])
+    def test_bad_dtype_rejected(self, dtype):
+        with pytest.raises(nn.ModelError, match="dtype must be"):
+            nn.ModelConfig(n_features=4, dtype=dtype)
+
 
 class TestVectorRoundTrip:
     def test_bit_exact(self):

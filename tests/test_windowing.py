@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fedhorizon.windowing import WindowingError, cut_windows, make_windows
 
@@ -98,3 +99,43 @@ def test_cut_windows_empty_stack():
     w = cut_windows(np.empty((0, 30, 26)), np.empty(0), time_channel=False)
     assert w.X.shape == (0, 6, 26)
     assert w.y.shape == w.horizons.shape == w.ends.shape == (0,)
+
+
+def _sliding_view_windows(grids, onsets, time_channel):
+    """The cut cut_windows replaced: boolean-index a (N, 25, 6, F) strided
+    view of every window, then copy the result into the output."""
+    n_features = grids.shape[2]
+    keep = np.arange(25) + 6 < onsets[:, None]
+    source, start = np.nonzero(keep)
+    windows = sliding_window_view(grids, 6, axis=1).swapaxes(2, 3)
+    X = np.empty((start.size, 6, n_features + int(time_channel)))
+    X[:, :, :n_features] = windows[keep]
+    if time_channel:
+        X[:, :, n_features] = (start / 24)[:, None]
+    return (X, np.isfinite(onsets)[source].astype(np.float64),
+            (25 - start).astype(np.int64), (start + 5).astype(np.float64),
+            source)
+
+
+@pytest.mark.parametrize("time_channel", [True, False])
+@pytest.mark.parametrize("case", ["mixed", "non_contiguous", "no_windows",
+                                  "no_stays"])
+def test_cut_windows_equals_sliding_view_cut(case, time_channel):
+    rng = np.random.default_rng(7)
+    grids = rng.normal(size=(8, 30, 26))
+    onsets = np.array([np.inf, 20.0, 5.0, 7.5, np.inf, 30.0, 6.0, 12.25])
+    if case == "non_contiguous":
+        grids, onsets = grids[::2], onsets[::2]
+        assert not grids.flags.c_contiguous
+    elif case == "no_windows":
+        grids, onsets = grids[:3], np.array([6.0, 2.5, 0.5])
+    elif case == "no_stays":
+        grids, onsets = grids[:0], onsets[:0]
+    w = cut_windows(grids, onsets, time_channel)
+    want = _sliding_view_windows(grids, onsets, time_channel)
+    for got, ref in zip((w.X, w.y, w.horizons, w.ends, w.source), want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    assert w.X.flags.c_contiguous
+    if case == "no_windows":
+        assert w.X.shape == (0, 6, 26 + time_channel)
