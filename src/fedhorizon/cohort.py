@@ -2,9 +2,9 @@
 
 Turns raw per-stay observations into fixed 30x26 hourly grids partitioned
 by ICU, with inclusion filtering, hourly aggregation, imputation and
-patient-level stratified fold assignment. Aggregation and imputation work
-on whole columns and on stacks of grids of shape (N, 30, F); the one-stay
-functions are thin wrappers over the stacked ones.
+patient-level stratified fold assignment. Aggregation works on whole
+observation columns, and imputation, feature means and z-scoring on stacks
+of grids of shape (N, 30, F).
 """
 
 from __future__ import annotations
@@ -25,14 +25,6 @@ EXCLUDED_ICUS = {"NICU", "PICU"}  # neonatal / pediatric
 
 class CohortError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RawObservation:
-    stay_id: str
-    feature: str
-    hour_offset: float  # fractional hours since admission, >= 0
-    value: float
 
 
 @dataclass
@@ -140,33 +132,6 @@ def aggregate_hours(stay: np.ndarray, hour: np.ndarray, feature: np.ndarray,
     return grid.reshape(shape), observed.reshape(shape)
 
 
-def hourly_aggregate(
-    observations: list[RawObservation], schema: FeatureSchema | None = None
-):
-    """One stay's observations on the 30-hour grid: ``aggregate_hours`` for
-    a single grid. Returns (grid, observed) of shape (30, F)."""
-    schema = schema or default_schema()
-    for obs in observations:
-        if obs.feature not in schema:
-            raise SchemaError(f"rejected observation: unknown feature {obs.feature!r}")
-        if not math.isfinite(obs.hour_offset):
-            raise CohortError(
-                f"non-finite hour_offset {obs.hour_offset} for stay {obs.stay_id}"
-            )
-        if obs.hour_offset < 0:
-            raise CohortError(
-                f"negative hour_offset {obs.hour_offset} for stay {obs.stay_id}"
-            )
-    grid, observed = aggregate_hours(
-        np.zeros(len(observations), dtype=np.intp),
-        np.array([o.hour_offset for o in observations], dtype=np.float64),
-        np.array([schema.index(o.feature) for o in observations], dtype=np.intp),
-        np.array([o.value for o in observations], dtype=np.float64),
-        1, schema.n_features,
-    )
-    return grid[0], observed[0]
-
-
 class UnfillableColumn(CohortError):
     """A grid column without a measurement whose feature has no finite
     training mean; ``grid`` and ``feature`` index the stack."""
@@ -233,11 +198,6 @@ def impute_grids(grids: np.ndarray, observed: np.ndarray,
     return out
 
 
-def impute(grid: np.ndarray, observed: np.ndarray, training_means: np.ndarray):
-    """One grid's ``impute_grids``: a new complete (30, F) grid."""
-    return impute_grids(grid[None], observed[None], training_means)[0]
-
-
 def stack_stays(stays: list[PatientStay], n_features: int):
     """(grids, observed) of the stays as (N, 30, F) stacks, in stay order."""
     grids = np.empty((len(stays), N_HOURS, n_features))
@@ -260,17 +220,10 @@ def feature_means(grids: np.ndarray, observed: np.ndarray) -> np.ndarray:
     return means
 
 
-def training_feature_means(stays: list[PatientStay]) -> np.ndarray:
-    """Per-feature mean over observed cells of the given (training) stays."""
-    if not stays:
-        raise CohortError("cannot compute feature means from an empty training split")
-    return feature_means(*stack_stays(stays, stays[0].grid.shape[1]))
-
-
 def impute_stay(stay: PatientStay, training_means: np.ndarray) -> PatientStay:
-    return replace(
-        stay, grid=impute(stay.grid, stay.observed, training_means), imputed=True
-    )
+    """A copy of the stay with its grid imputed by ``impute_grids``."""
+    grid = impute_grids(stay.grid[None], stay.observed[None], training_means)[0]
+    return replace(stay, grid=grid, imputed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -79,10 +79,10 @@ class ExperimentConfig:
                     f"got {self.pos_weight!r}") from None
         self.synth.validate()
 
-    def pos_weight_value(self, n_pos: int, n_neg: int) -> float:
-        if self.pos_weight == "auto":
-            return n_neg / max(n_pos, 1)
-        return float(self.pos_weight)
+    @property
+    def client_pos_weight(self) -> float | None:
+        """``pos_weight`` as ``ClientState`` takes it: None for auto."""
+        return None if self.pos_weight == "auto" else float(self.pos_weight)
 
 
 def _parse_bool(text: str) -> bool:

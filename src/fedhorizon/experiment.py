@@ -109,13 +109,11 @@ def prepare_fold(partition: CohortPartition, fold: int, cfg: ExperimentConfig):
                                    cfg.time_channel)
         va = windowing.cut_windows(train_grids[val], train_onsets[val],
                                    cfg.time_channel)
-        n_pos = int(tr.y.sum())
-        n_neg = int(tr.y.shape[0] - n_pos)
         clients.append(federation.ClientState(
             icu_id=icu, index=icu_index,
             X_train=tr.X, y_train=tr.y, h_train=tr.horizons,
             X_val=va.X, y_val=va.y, h_val=va.horizons,
-            pos_weight=cfg.pos_weight_value(n_pos, n_neg),
+            pos_weight=cfg.client_pos_weight,
         ))
         te = windowing.cut_windows(test_grids,
                                    windowing.stay_onsets(test_stays),
@@ -132,8 +130,7 @@ def prepare_fold(partition: CohortPartition, fold: int, cfg: ExperimentConfig):
     return clients, test_sets
 
 
-def _model_config(cfg: ExperimentConfig) -> nn.ModelConfig:
-    n_features = 26 + (1 if cfg.time_channel else 0)
+def _model_config(cfg: ExperimentConfig, n_features: int) -> nn.ModelConfig:
     return nn.ModelConfig(
         n_features=n_features, lstm_units=cfg.lstm_units,
         lstm_layers=cfg.lstm_layers, dense_units=cfg.dense_units,
@@ -216,7 +213,7 @@ def evaluate_fold(models: dict, test_sets: dict[str, TestSet],
 def run_fold(partition: CohortPartition, fold: int, cfg: ExperimentConfig,
              include_fixed: bool = False) -> FoldResult:
     clients, test_sets = prepare_fold(partition, fold, cfg)
-    model_config = _model_config(cfg)
+    model_config = _model_config(cfg, clients[0].X_train.shape[-1])
     train_kwargs = dict(
         seed=nn_seed_for_fold(cfg.seed, fold), rounds=cfg.rounds,
         local_epochs=cfg.local_epochs, batch_size=cfg.batch_size,

@@ -44,12 +44,21 @@ class ClientState:
     X_val: np.ndarray
     y_val: np.ndarray
     h_val: np.ndarray | None = None
-    pos_weight: float = 1.0
+    pos_weight: float | None = 1.0  # None: auto, see loss_pos_weight
 
     @property
     def n_k(self) -> int:
         """FedAvg weight: number of local training windows."""
         return int(self.y_train.shape[0])
+
+    @property
+    def loss_pos_weight(self) -> float:
+        """The loss weight of a positive window: ``pos_weight``, or for
+        None (auto) N_neg / N_pos of this client's training labels."""
+        if self.pos_weight is not None:
+            return self.pos_weight
+        n_pos = int(self.y_train.sum())
+        return (self.n_k - n_pos) / max(n_pos, 1)
 
 
 @dataclass
@@ -110,18 +119,19 @@ def _client_task(job, clients: list[ClientState]):
     (position, config, params, buffers, round_index, seed, local_epochs,
      batch_size, lr) = job
     client = clients[position]
+    pos_weight = client.loss_pos_weight
     local = nn.Model(config, params, buffers)
     try:
         nn.train_epochs(
             local, client.X_train, client.y_train,
             epochs=local_epochs, batch_size=batch_size,
             seed=client_seed(seed, client.index, round_index),
-            lr=lr, pos_weight=client.pos_weight)
+            lr=lr, pos_weight=pos_weight)
     except nn.ModelError as exc:
         raise FederationError(
             f"client {client.icu_id} failed in round {round_index}: {exc}"
         ) from exc
-    loss = _eval_loss(local, client.X_train, client.y_train, client.pos_weight)
+    loss = _eval_loss(local, client.X_train, client.y_train, pos_weight)
     return local.vector, local.buffer_vector, loss
 
 
@@ -231,17 +241,15 @@ def pool_clients(clients: list[ClientState]) -> ClientState:
     """Merge clients into one pooled client (the Central setting).
 
     Data are concatenated in client order; a single-client pool is the
-    client itself, making Central on one ICU coincide with Local.
+    client itself, making Central on one ICU coincide with Local. The pool
+    keeps the first client's ``pos_weight``: a number, or None, which then
+    weighs by the pooled labels.
     """
     if not clients:
         raise FederationError("no clients to pool")
     if len(clients) == 1:
         return clients[0]
-    n_pos = sum(int(c.y_train.sum()) for c in clients)
-    n_total = sum(c.n_k for c in clients)
-    # keep weighted pos_weight consistent with how clients were built
-    pw = clients[0].pos_weight
-    pooled = ClientState(
+    return ClientState(
         icu_id="CENTRAL",
         index=clients[0].index,
         X_train=np.concatenate([c.X_train for c in clients]),
@@ -251,9 +259,8 @@ def pool_clients(clients: list[ClientState]) -> ClientState:
         y_val=np.concatenate([c.y_val for c in clients]),
         h_val=(np.concatenate([c.h_val for c in clients])
                if all(c.h_val is not None for c in clients) else None),
-        pos_weight=pw if pw == 1.0 else (n_total - n_pos) / max(n_pos, 1),
+        pos_weight=clients[0].pos_weight,
     )
-    return pooled
 
 
 def _solo_task(position: int, shared: tuple):
@@ -323,15 +330,6 @@ def run_settings(settings, clients: list[ClientState],
     return out
 
 
-def run_experiment(setting: str, clients: list[ClientState],
-                   model_config: nn.ModelConfig, seed: int, **kwargs):
-    """Train under one evaluation setting; see ``run_settings``.
-
-    Returns ({name: Model}, {name: [RoundLog]}).
-    """
-    return run_settings([setting], clients, model_config, seed, **kwargs)[setting]
-
-
 def convergence_rounds(logs: list[RoundLog], patience: int,
                        min_delta: float = 1e-4) -> int:
     """Rounds to convergence; the full budget if never converged."""
@@ -340,14 +338,15 @@ def convergence_rounds(logs: list[RoundLog], patience: int,
 
 
 def filter_client_horizon(client: ClientState, horizon: int) -> ClientState:
+    """The client's windows at one horizon; validation keeps every window
+    when none is at that horizon. ``pos_weight`` passes through, so None
+    (auto) weighs by the filtered labels."""
     if not (1 <= horizon <= MAX_HORIZON):
         raise FederationError(f"horizon {horizon} outside [1, {MAX_HORIZON}]")
     sel_tr = client.h_train == horizon
     if not sel_tr.any():
         raise FederationError(
             f"client {client.icu_id} has no training samples at horizon {horizon}")
-    n_pos = int(client.y_train[sel_tr].sum())
-    n_neg = int(sel_tr.sum()) - n_pos
     X_val, y_val, h_val = client.X_val, client.y_val, client.h_val
     if h_val is not None and (h_val == horizon).any():
         sel_val = h_val == horizon
@@ -361,8 +360,7 @@ def filter_client_horizon(client: ClientState, horizon: int) -> ClientState:
         X_val=X_val,
         y_val=y_val,
         h_val=h_val,
-        pos_weight=(client.pos_weight if client.pos_weight == 1.0
-                    else n_neg / max(n_pos, 1)),
+        pos_weight=client.pos_weight,
     )
 
 

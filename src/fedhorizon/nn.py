@@ -8,9 +8,10 @@ units with batch normalization and dropout, and a single sigmoid output.
 All gradients are exact (verified against finite differences). A model's
 parameters live in one flat vector with a documented layout, and its
 batch-norm running statistics in a second one; the named arrays that
-``forward`` and ``backward`` take are views into them. The two vectors are
-also the federated exchange format, so nothing is packed or unpacked
-between a training step and an upload.
+``forward`` and ``backward`` take are views into them. ``backward`` returns
+the gradient as one vector of the same layout, which the Adam step takes
+as it is. The two vectors are also the federated exchange format, so
+nothing is packed or unpacked between a training step and an upload.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def buffer_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def n_params(config: ModelConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape in param_layout(config))
+    return sum(math.prod(shape) for _, shape in param_layout(config))
 
 
 def params_to_vector(params: dict[str, np.ndarray], layout) -> np.ndarray:
@@ -295,15 +296,13 @@ def _lstm_backward(dh_seq, gates, cells, wh):
     return dz_all
 
 
-def forward(params, X, mode, rng=None, buffers=None, config: ModelConfig = None):
+def forward(params, X, mode, rng=None, *, buffers, config: ModelConfig):
     """Run the network; returns (probabilities (B,), ForwardState).
 
     Train mode uses batch statistics (updating the running stats in
     ``buffers`` with momentum) and fresh dropout masks from ``rng``; eval
     mode uses running statistics and no dropout, and mutates nothing.
     """
-    if config is None:
-        raise ModelError("config is required")
     if X.ndim != 3:
         raise ModelError(f"expected (B, T, F) input, got shape {X.shape}")
     if not np.isfinite(X).all():
@@ -318,8 +317,6 @@ def forward(params, X, mode, rng=None, buffers=None, config: ModelConfig = None)
         raise ModelError("train mode needs batch size >= 2 (batch-norm variance)")
     if train and rng is None and config.dropout > 0:
         raise ModelError("train mode requires an rng for dropout")
-    if buffers is None:
-        buffers = init_buffers(config)
     keep = 1.0 - config.dropout
 
     context, (q, k, v, attn) = attention_forward(params, X)
@@ -395,13 +392,14 @@ def loss(probs, labels, pos_weight: float = 1.0) -> float:
 
 
 def backward(params, state: ForwardState, labels, pos_weight: float = 1.0,
-             config: ModelConfig = None):
-    """Exact gradient of the mean BCE loss w.r.t. every parameter.
+             *, config: ModelConfig):
+    """Exact gradient of the mean BCE loss w.r.t. every parameter, as one
+    new vector in ``param_layout`` order and ``config``'s dtype.
 
+    Each gradient is assigned to its named view of the vector, which
+    rounds a float64 gradient of a float32 model as ``astype`` would.
     Requires a state produced by a matching train-mode forward call.
     """
-    if config is None:
-        raise ModelError("config is required")
     if state.probs is None or len(state.layers) != config.lstm_layers:
         raise ModelError("stale or mismatched forward state")
     if state.layers[0]["gates"] is None:
@@ -419,19 +417,20 @@ def backward(params, state: ForwardState, labels, pos_weight: float = 1.0,
     dp = np.where((p_raw > CLAMP_EPS) & (p_raw < 1.0 - CLAMP_EPS), dp, 0.0)
     dlogits = dp * p_raw * (1.0 - p_raw)
 
-    grads = {}
+    grad = np.empty(n_params(config), dtype=config.np_dtype)
+    grads = vector_to_params(grad, param_layout(config))
     dlog = dlogits[:, None]
-    grads["out_w"] = state.dense_out.T @ dlog
-    grads["out_b"] = dlog.sum(axis=0)
+    grads["out_w"][...] = state.dense_out.T @ dlog
+    grads["out_b"][...] = dlog.sum(axis=0)
     d_dense_out = dlog @ params["out_w"].T
     if state.dense_mask is not None:
         d_dense_out = d_dense_out * state.dense_mask
     d_dense_pre, dgamma, dbeta = _bn_backward(
         d_dense_out, params["bn_dense_gamma"], state.dense_bn)
-    grads["bn_dense_gamma"] = dgamma
-    grads["bn_dense_beta"] = dbeta
-    grads["dense_w"] = state.dense_in.T @ d_dense_pre
-    grads["dense_b"] = d_dense_pre.sum(axis=0)
+    grads["bn_dense_gamma"][...] = dgamma
+    grads["bn_dense_beta"][...] = dbeta
+    grads["dense_w"][...] = state.dense_in.T @ d_dense_pre
+    grads["dense_b"][...] = d_dense_pre.sum(axis=0)
     du = d_dense_pre @ params["dense_w"].T
 
     d_layer_out = np.zeros_like(state.layers[-1]["h"])
@@ -444,8 +443,8 @@ def backward(params, state: ForwardState, labels, pos_weight: float = 1.0,
             d_out = d_out * cache["mask"]
         dh_seq, dgamma, dbeta = _bn_backward(
             d_out, params[f"bn{layer}_gamma"], cache["bn"])
-        grads[f"bn{layer}_gamma"] = dgamma
-        grads[f"bn{layer}_beta"] = dbeta
+        grads[f"bn{layer}_gamma"][...] = dgamma
+        grads[f"bn{layer}_beta"][...] = dbeta
 
         wx = params[f"lstm{layer}_wx"]
         x_in = cache["input"]
@@ -453,9 +452,9 @@ def backward(params, state: ForwardState, labels, pos_weight: float = 1.0,
                                 params[f"lstm{layer}_wh"])
         h_prev = np.concatenate(
             [np.zeros((B, 1, H), dtype=dh_seq.dtype), cache["h"][:, :-1]], axis=1)
-        grads[f"lstm{layer}_wx"] = x_in.reshape(-1, x_in.shape[-1]).T @ dz_all.reshape(-1, dz_all.shape[-1])
-        grads[f"lstm{layer}_wh"] = h_prev.reshape(-1, h_prev.shape[-1]).T @ dz_all.reshape(-1, dz_all.shape[-1])
-        grads[f"lstm{layer}_b"] = dz_all.sum(axis=(0, 1))
+        grads[f"lstm{layer}_wx"][...] = x_in.reshape(-1, x_in.shape[-1]).T @ dz_all.reshape(-1, dz_all.shape[-1])
+        grads[f"lstm{layer}_wh"][...] = h_prev.reshape(-1, h_prev.shape[-1]).T @ dz_all.reshape(-1, dz_all.shape[-1])
+        grads[f"lstm{layer}_b"][...] = dz_all.sum(axis=(0, 1))
         d_layer_out = dz_all @ wx.T  # gradient w.r.t. this layer's input
 
     # attention (with residual): layer0 input = context + X
@@ -469,16 +468,15 @@ def backward(params, state: ForwardState, labels, pos_weight: float = 1.0,
     dQ = dS @ k * scale
     dK = dS.transpose(0, 2, 1) @ q * scale
     X = state.X
-    grads["attn_wq"] = X.reshape(-1, X.shape[-1]).T @ dQ.reshape(-1, dQ.shape[-1])
-    grads["attn_bq"] = dQ.sum(axis=(0, 1))
-    grads["attn_wk"] = X.reshape(-1, X.shape[-1]).T @ dK.reshape(-1, dK.shape[-1])
-    grads["attn_bk"] = dK.sum(axis=(0, 1))
-    grads["attn_wv"] = X.reshape(-1, X.shape[-1]).T @ dV.reshape(-1, dV.shape[-1])
-    grads["attn_bv"] = dV.sum(axis=(0, 1))
+    grads["attn_wq"][...] = X.reshape(-1, X.shape[-1]).T @ dQ.reshape(-1, dQ.shape[-1])
+    grads["attn_bq"][...] = dQ.sum(axis=(0, 1))
+    grads["attn_wk"][...] = X.reshape(-1, X.shape[-1]).T @ dK.reshape(-1, dK.shape[-1])
+    grads["attn_bk"][...] = dK.sum(axis=(0, 1))
+    grads["attn_wv"][...] = X.reshape(-1, X.shape[-1]).T @ dV.reshape(-1, dV.shape[-1])
+    grads["attn_bv"][...] = dV.sum(axis=(0, 1))
     # dX itself is not needed: inputs are data, not parameters.
 
-    return {name: grads[name].astype(params[name].dtype, copy=False)
-            for name, _ in param_layout(config)}
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +568,11 @@ class Model:
 
 
 def train_epochs(model: Model, X, y, epochs: int, batch_size: int, seed: int,
-                 lr: float = ADAM_LR, pos_weight: float = 1.0,
-                 adam: AdamState | None = None) -> AdamState:
+                 lr: float = ADAM_LR, pos_weight: float = 1.0) -> AdamState:
     """Train in place for full seeded-shuffle passes over (X, y).
 
     Remainder batches of size 1 are dropped (batch-norm needs variance).
-    Returns the optimizer state for callers that continue training.
+    Returns the optimizer state.
     """
     if X.shape[0] == 0:
         raise ModelError("empty sample list")
@@ -583,8 +580,7 @@ def train_epochs(model: Model, X, y, epochs: int, batch_size: int, seed: int,
         raise ModelError("epochs must be >= 0")
     rng = np.random.default_rng([seed, 0x7E41])
     n = X.shape[0]
-    if adam is None:
-        adam = AdamState.zeros(model.vector.size, dtype=model.config.np_dtype)
+    adam = AdamState.zeros(model.vector.size, dtype=model.config.np_dtype)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
@@ -593,10 +589,9 @@ def train_epochs(model: Model, X, y, epochs: int, batch_size: int, seed: int,
                 continue
             probs, fstate = forward(model.params, X[idx], "train", rng=rng,
                                     buffers=model.buffers, config=model.config)
-            grads = backward(model.params, fstate, y[idx],
-                             pos_weight=pos_weight, config=model.config)
-            apply_update(model.vector, params_to_vector(grads, model.layout),
-                         adam, lr=lr)
+            grad = backward(model.params, fstate, y[idx],
+                            pos_weight=pos_weight, config=model.config)
+            apply_update(model.vector, grad, adam, lr=lr)
     return adam
 
 

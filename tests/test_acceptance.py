@@ -62,9 +62,7 @@ def test_criterion_1_gradient_correctness():
     b = {k: v.copy() for k, v in buffers.items()}
     _, state = nn.forward(params, X, "train", rng=np.random.default_rng(5),
                           buffers=b, config=cfg)
-    analytic = nn.params_to_vector(
-        nn.backward(params, state, y, pos_weight=pos_weight, config=cfg),
-        layout)
+    analytic = nn.backward(params, state, y, pos_weight=pos_weight, config=cfg)
     theta = nn.params_to_vector(params, layout)
 
     step = 1e-4

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedhorizon.cohort import (
-    CohortError, Normalization, RawObservation, UnfillableColumn,
-    aggregate_hours, apply_inclusion, hourly_aggregate, impute, impute_grids,
-    ingest_csv, make_splits, training_feature_means,
+    CohortError, Normalization, UnfillableColumn, aggregate_hours,
+    apply_inclusion, feature_means, impute_grids, ingest_csv, make_splits,
+    stack_stays,
 )
-from fedhorizon.schema import SchemaError, default_schema
+from fedhorizon.schema import default_schema
 from fedhorizon.synthgen import SynthConfig, export_csv, generate_cohort
 
 from conftest import make_stay
@@ -37,48 +37,6 @@ class TestApplyInclusion:
         once = apply_inclusion(stays)
         assert once == stays
         assert apply_inclusion(once) == once
-
-
-class TestHourlyAggregate:
-    def test_most_recent_in_bucket_wins(self):
-        obs = [RawObservation("s", "heart_rate", 3.2, 80.0),
-               RawObservation("s", "heart_rate", 3.8, 84.0)]
-        grid, observed = hourly_aggregate(obs, SCHEMA)
-        col = SCHEMA.index("heart_rate")
-        assert grid[3, col] == 84.0
-        assert observed[3, col]
-
-    def test_absent_cell_is_missing(self):
-        grid, observed = hourly_aggregate([], SCHEMA)
-        assert not observed[7, SCHEMA.index("glucose")]
-        assert np.isnan(grid[7, SCHEMA.index("glucose")])
-
-    def test_observation_past_capture_window_ignored(self):
-        obs = [RawObservation("s", "glucose", 31.0, 100.0),
-               RawObservation("s", "glucose", 30.0, 90.0)]
-        grid, observed = hourly_aggregate(obs, SCHEMA)
-        assert not observed[:, SCHEMA.index("glucose")].any()
-
-    def test_unknown_feature_rejected_with_name(self):
-        with pytest.raises(SchemaError, match="serum_rhubarb"):
-            hourly_aggregate([RawObservation("s", "serum_rhubarb", 1.0, 1.0)],
-                             SCHEMA)
-
-    def test_tie_broken_by_file_order(self):
-        obs = [RawObservation("s", "glucose", 4.5, 100.0),
-               RawObservation("s", "glucose", 4.5, 120.0)]
-        grid, _ = hourly_aggregate(obs, SCHEMA)
-        assert grid[4, SCHEMA.index("glucose")] == 120.0
-
-    @given(st.permutations(list(range(8))))
-    @settings(max_examples=30, deadline=None)
-    def test_permutation_invariant_for_distinct_timestamps(self, perm):
-        base = [RawObservation("s", "glucose", 0.1 + 0.37 * i, float(i))
-                for i in range(8)]
-        ref, ref_obs = hourly_aggregate(base, SCHEMA)
-        got, got_obs = hourly_aggregate([base[i] for i in perm], SCHEMA)
-        assert np.array_equal(ref_obs, got_obs)
-        assert np.array_equal(np.nan_to_num(ref), np.nan_to_num(got))
 
 
 def _aggregate_rows(rows, n_stays, n_features):
@@ -274,19 +232,21 @@ class TestImputeGridsMatchesFullStack:
 
 
 class TestImpute:
+    """``impute_grids`` on one-grid stacks."""
+
     def _column(self, pairs):
-        grid = np.full((30, 26), 0.0)
-        observed = np.ones((30, 26), dtype=bool)
-        grid[:, 5] = np.nan
-        observed[:, 5] = False
+        grid = np.full((1, 30, 26), 0.0)
+        observed = np.ones((1, 30, 26), dtype=bool)
+        grid[0, :, 5] = np.nan
+        observed[0, :, 5] = False
         for h, v in pairs:
-            grid[h, 5] = v
-            observed[h, 5] = True
+            grid[0, h, 5] = v
+            observed[0, h, 5] = True
         return grid, observed
 
     def test_interior_linear_interpolation(self):
         grid, observed = self._column([(2, 10.0), (5, 16.0)])
-        out = impute(grid, observed, np.zeros(26))
+        out = impute_grids(grid, observed, np.zeros(26))[0]
         assert out[3, 5] == pytest.approx(12.0)
         assert out[4, 5] == pytest.approx(14.0)
 
@@ -294,13 +254,13 @@ class TestImpute:
         grid, observed = self._column([])
         means = np.zeros(26)
         means[5] = 7.5
-        out = impute(grid, observed, means)
+        out = impute_grids(grid, observed, means)[0]
         assert np.all(out[:, 5] == 7.5)
 
     def test_edge_gaps_extend_nearest_value(self):
         # oracle: single observed point, every cell must equal it
         grid, observed = self._column([(10, 3.0)])
-        out = impute(grid, observed, np.zeros(26))
+        out = impute_grids(grid, observed, np.zeros(26))[0]
         assert np.all(out[:, 5] == 3.0)
 
     def test_matches_reference_interpolation(self):
@@ -308,7 +268,7 @@ class TestImpute:
         rng = np.random.default_rng(3)
         pairs = [(2, 1.0), (7, 4.0), (13, -2.0), (25, 9.0)]
         grid, observed = self._column(pairs)
-        out = impute(grid, observed, np.zeros(26))
+        out = impute_grids(grid, observed, np.zeros(26))[0]
         hours = np.array([h for h, _ in pairs], dtype=float)
         vals = np.array([v for _, v in pairs])
         for h in range(30):
@@ -328,10 +288,10 @@ class TestImpute:
 
     def test_observed_cells_never_altered_and_complete(self):
         rng = np.random.default_rng(0)
-        grid = rng.normal(size=(30, 26))
-        observed = rng.random((30, 26)) > 0.4
+        grid = rng.normal(size=(1, 30, 26))
+        observed = rng.random((1, 30, 26)) > 0.4
         masked = np.where(observed, grid, np.nan)
-        out = impute(masked, observed, np.zeros(26))
+        out = impute_grids(masked, observed, np.zeros(26))
         assert np.array_equal(out[observed], grid[observed])
         assert not np.isnan(out).any()
 
@@ -340,7 +300,7 @@ class TestImpute:
         means = np.zeros(26)
         means[5] = np.nan
         with pytest.raises(CohortError):
-            impute(grid, observed, means)
+            impute_grids(grid, observed, means)
 
 
 class TestIngestCsv:
@@ -549,7 +509,7 @@ def test_training_feature_means_ignores_missing_cells():
     b = make_stay("b")
     b.grid[:, 0] = 4.0
     b.observed[:, 0] = False
-    means = training_feature_means([a, b])
+    means = feature_means(*stack_stays([a, b], 26))
     assert means[0] == 2.0
 
 

@@ -49,9 +49,9 @@ class TestValidation:
 
     def test_pos_weight_value(self):
         cfg = resolve_config(overrides={"pos_weight": "auto"})
-        assert cfg.pos_weight_value(10, 30) == 3.0
+        assert cfg.client_pos_weight is None
         fixed = resolve_config(overrides={"pos_weight": "2.5"})
-        assert fixed.pos_weight_value(10, 30) == 2.5
+        assert fixed.client_pos_weight == 2.5
 
 
 class TestFileAndOverrides:

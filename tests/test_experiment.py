@@ -242,8 +242,9 @@ def _reference_prepare_fold(partition, fold, cfg):
         X_tr, y_tr, h_tr, _, _ = window_loop(pos[n_val_pos:] + neg[n_val_neg:])
         X_val, y_val, h_val, _, _ = window_loop(pos[:n_val_pos] + neg[:n_val_neg])
         n_pos = int(y_tr.sum())
-        client = (X_tr, y_tr, h_tr, X_val, y_val, h_val,
-                  cfg.pos_weight_value(n_pos, len(y_tr) - n_pos))
+        pos_weight = ((len(y_tr) - n_pos) / max(n_pos, 1)
+                      if cfg.pos_weight == "auto" else float(cfg.pos_weight))
+        client = (X_tr, y_tr, h_tr, X_val, y_val, h_val, pos_weight)
         X_te, y_te, h_te, ends_te, pids_te = window_loop(test_pairs)
         septic = sorted({s.patient_id for s in test if s.septic})
         out[icu] = (client, (X_te, y_te, h_te, ends_te, np.array(pids_te),
@@ -282,7 +283,7 @@ class TestPrepareFoldMatchesPerStayReference:
         for c in clients:
             ref_client, ref_test = want[c.icu_id]
             fields = ("X_train", "y_train", "h_train", "X_val", "y_val",
-                      "h_val", "pos_weight")
+                      "h_val", "loss_pos_weight")
             for name, ref in zip(fields, ref_client):
                 _assert_same_bits(getattr(c, name), ref, f"{c.icu_id} {name}")
             test = test_sets[c.icu_id]

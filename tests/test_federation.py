@@ -10,7 +10,7 @@ from fedhorizon import federation, nn, pool
 from fedhorizon.federation import (
     ClientState, FederationError, RoundLog, check_convergence, client_seed,
     convergence_rounds, fedavg_aggregate, filter_client_horizon, pool_clients,
-    run_experiment, run_federated, run_fixed_window_suite, run_round,
+    run_federated, run_fixed_window_suite, run_round, run_settings,
 )
 
 N_FEATURES = 5
@@ -161,6 +161,18 @@ class TestRunRound:
         _, log = run_round(nn.Model(MODEL_CONFIG), clients, 1, seed=9)
         assert np.isfinite(log.client_losses["icu0"])
 
+    def test_auto_pos_weight_weighs_by_own_labels(self):
+        auto, fixed = make_client(0), make_client(0)
+        for client in (auto, fixed):
+            client.y_train = (np.arange(24) < 6).astype(float)  # 6 of 24
+        auto.pos_weight = None
+        fixed.pos_weight = 3.0
+        assert auto.loss_pos_weight == 3.0
+        m1, log1 = run_round(nn.Model(MODEL_CONFIG), [auto], 1, seed=9)
+        m2, log2 = run_round(nn.Model(MODEL_CONFIG), [fixed], 1, seed=9)
+        assert np.array_equal(m1.to_vector(), m2.to_vector())
+        assert log1.client_losses == log2.client_losses
+
 
 class TestRunFederated:
     def test_single_client_equals_local_training(self):
@@ -280,7 +292,7 @@ class TestWorkerPool:
         clients[2].X_train[0, 0, 0] = np.inf
         with pytest.raises(FederationError,
                            match="client icu2 failed in round 1"):
-            run_experiment("local", clients, MODEL_CONFIG, seed=5, rounds=2)
+            run_settings(["local"], clients, MODEL_CONFIG, seed=5, rounds=2)
         assert multiprocessing.active_children() == []
 
 
@@ -304,41 +316,54 @@ class TestPoolClients:
         a, b = make_client(0, n=10), make_client(1, n=14)
         pooled = pool_clients([a, b])
         m1, _ = run_federated([pooled], MODEL_CONFIG, seed=5, rounds=2)
-        models, _ = run_experiment("central", [a, b], MODEL_CONFIG, seed=5,
-                                   rounds=2)
+        models, _ = run_settings(["central"], [a, b], MODEL_CONFIG, seed=5,
+                                 rounds=2)["central"]
         assert np.array_equal(m1.to_vector(), models["central"].to_vector())
 
     def test_empty_rejected(self):
         with pytest.raises(FederationError):
             pool_clients([])
 
+    @pytest.mark.parametrize("weight,expected", [(None, 4.0), (1.0, 1.0),
+                                                 (2.5, 2.5)])
+    def test_pos_weight_regimes(self, weight, expected):
+        """A number passes through; only None (auto) weighs by the pooled
+        labels, here 8 positives among 40 windows."""
+        clients = [make_client(0, n=20), make_client(1, n=20)]
+        for client in clients:
+            client.y_train = (np.arange(20) < 4).astype(float)
+            client.pos_weight = weight
+        pooled = pool_clients(clients)
+        assert pooled.pos_weight == weight
+        assert pooled.loss_pos_weight == expected
+
 
 class TestRunExperiment:
     def test_local_returns_one_model_per_icu(self):
         clients = [make_client(0), make_client(1), make_client(2)]
-        models, logs = run_experiment("local", clients, MODEL_CONFIG, seed=5,
-                                      rounds=2)
+        models, logs = run_settings(["local"], clients, MODEL_CONFIG, seed=5,
+                                    rounds=2)["local"]
         assert set(models) == {"icu0", "icu1", "icu2"}
         assert set(logs) == set(models)
 
     def test_federated_single_entry(self):
-        models, logs = run_experiment("federated", [make_client(0),
-                                                    make_client(1)],
-                                      MODEL_CONFIG, seed=5, rounds=2)
+        clients = [make_client(0), make_client(1)]
+        models, logs = run_settings(["federated"], clients, MODEL_CONFIG,
+                                    seed=5, rounds=2)["federated"]
         assert set(models) == {"federated"}
 
     def test_single_client_federated_equals_local(self):
         client = make_client(0)
-        fed, _ = run_experiment("federated", [client], MODEL_CONFIG, seed=5,
-                                rounds=2)
-        loc, _ = run_experiment("local", [client], MODEL_CONFIG, seed=5,
-                                rounds=2)
+        fed, _ = run_settings(["federated"], [client], MODEL_CONFIG, seed=5,
+                              rounds=2)["federated"]
+        loc, _ = run_settings(["local"], [client], MODEL_CONFIG, seed=5,
+                              rounds=2)["local"]
         assert np.array_equal(fed["federated"].to_vector(),
                               loc["icu0"].to_vector())
 
     def test_unknown_setting(self):
         with pytest.raises(FederationError):
-            run_experiment("hybrid", [make_client(0)], MODEL_CONFIG, seed=5)
+            run_settings(["hybrid"], [make_client(0)], MODEL_CONFIG, seed=5)
 
 
 class TestFilterClientHorizon:
@@ -370,11 +395,19 @@ class TestFilterClientHorizon:
 
     def test_auto_pos_weight_recomputed(self):
         client = make_client(0, n=100)
-        client.pos_weight = 2.5  # any non-1.0 marks the auto regime
+        client.pos_weight = None  # auto
         out = filter_client_horizon(client, int(client.h_train[0]))
         sel = client.h_train == client.h_train[0]
         n_pos = int(client.y_train[sel].sum())
-        assert out.pos_weight == (int(sel.sum()) - n_pos) / max(n_pos, 1)
+        assert out.pos_weight is None
+        assert out.loss_pos_weight == (int(sel.sum()) - n_pos) / max(n_pos, 1)
+
+    @pytest.mark.parametrize("weight", [1.0, 2.5])
+    def test_fixed_pos_weight_passes_through(self, weight):
+        client = make_client(0, n=100)
+        client.pos_weight = weight
+        out = filter_client_horizon(client, int(client.h_train[0]))
+        assert out.pos_weight == out.loss_pos_weight == weight
 
 
 def test_run_fixed_window_suite_returns_per_horizon_models():

@@ -152,9 +152,8 @@ class TestBackward:
                                   rng=np.random.default_rng(0),
                                   buffers=model.buffers, config=TINY)
         # labels equal to clamped predictions: thresholded exact probs
-        grads = nn.backward(model.params, state, probs, config=TINY)
+        gvec = nn.backward(model.params, state, probs, config=TINY)
         # gradient of -[p ln p + (1-p) ln(1-p)] wrt logits is 0 at y = p
-        gvec = nn.params_to_vector(grads, model.layout)
         assert np.linalg.norm(gvec) < 1e-6
 
     def test_duplicating_the_batch_preserves_mean_gradient(self):
@@ -166,16 +165,32 @@ class TestBackward:
                            rng=np.random.default_rng(0),
                            buffers={k: v.copy() for k, v in model.buffers.items()},
                            config=cfg)
-        g1 = nn.params_to_vector(nn.backward(model.params, s1, y, config=cfg),
-                                 model.layout)
+        g1 = nn.backward(model.params, s1, y, config=cfg)
         X2, y2 = np.concatenate([X, X]), np.concatenate([y, y])
         _, s2 = nn.forward(model.params, X2, "train",
                            rng=np.random.default_rng(0),
                            buffers={k: v.copy() for k, v in model.buffers.items()},
                            config=cfg)
-        g2 = nn.params_to_vector(nn.backward(model.params, s2, y2, config=cfg),
-                                 model.layout)
+        g2 = nn.backward(model.params, s2, y2, config=cfg)
         assert np.allclose(g1, g2, atol=1e-10)
+
+    def test_float32_gradient_is_float64_gradient_rounded(self):
+        # float32 parameters on float64 windows compute in float64; the
+        # gradient vector holds that gradient rounded as astype rounds it
+        cfg32 = dataclasses.replace(TINY, dtype="float32")
+        model = nn.Model(cfg32)
+        params64 = nn.vector_to_params(model.vector.astype(np.float64),
+                                       model.layout)
+        X, y = _batch(np.random.default_rng(10))
+        grads = []
+        for params, cfg in ((model.params, cfg32), (params64, TINY)):
+            _, state = nn.forward(params, X, "train",
+                                  rng=np.random.default_rng(0),
+                                  buffers=nn.init_buffers(cfg), config=cfg)
+            grads.append(nn.backward(params, state, y, pos_weight=1.7,
+                                     config=cfg))
+        assert grads[0].dtype == np.float32 and grads[1].dtype == np.float64
+        assert grads[0].tobytes() == grads[1].astype(np.float32).tobytes()
 
     def test_stale_state_rejected(self):
         model = nn.Model(TINY)
@@ -376,9 +391,8 @@ def _reference_train_epochs(config, X, y, epochs, batch_size, seed,
                       in nn.vector_to_params(vec, layout).items()}
             _, state = nn.forward(params, X[idx], "train", rng=rng,
                                   buffers=buffers, config=config)
-            grads = nn.backward(params, state, y[idx], pos_weight=pos_weight,
-                                config=config)
-            g = nn.params_to_vector(grads, layout)
+            g = nn.backward(params, state, y[idx], pos_weight=pos_weight,
+                            config=config)
             step += 1
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g**2
