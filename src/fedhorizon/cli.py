@@ -81,28 +81,19 @@ def _load_partition(cfg):
 
 
 def cmd_run(args) -> int:
+    """``run``, or with ``compare-fixed`` also the fixed-window suite (which
+    adds the federated setting it compares against)."""
+    include_fixed = args.command == "compare-fixed"
     cfg = _resolve(args, ("settings", "rounds", "folds", "batch_size",
                           "data_dir", "pos_weight",
                           "fixed_horizons", "time_channel"))
-    partition = _load_partition(cfg)
-    result = experiment.run_all_folds(partition, cfg, include_fixed=False)
-    paths = experiment.emit_reports(result, cfg.out_dir)
-    print(f"run complete (config hash {config_hash(cfg)})")
-    for name, path in sorted(paths.items()):
-        print(f"  {name}: {path}")
-    return 0
-
-
-def cmd_compare_fixed(args) -> int:
-    cfg = _resolve(args, ("settings", "rounds", "folds", "batch_size",
-                          "data_dir", "pos_weight",
-                          "fixed_horizons", "time_channel"))
-    if "federated" not in cfg.settings:
+    if include_fixed and "federated" not in cfg.settings:
         cfg.settings = tuple(cfg.settings) + ("federated",)
     partition = _load_partition(cfg)
-    result = experiment.run_all_folds(partition, cfg, include_fixed=True)
+    result = experiment.run_all_folds(partition, cfg, include_fixed)
     paths = experiment.emit_reports(result, cfg.out_dir)
-    print(f"fixed-vs-variable comparison complete (config hash {config_hash(cfg)})")
+    done = "fixed-vs-variable comparison" if include_fixed else "run"
+    print(f"{done} complete (config hash {config_hash(cfg)})")
     for name, path in sorted(paths.items()):
         print(f"  {name}: {path}")
     return 0
@@ -190,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("labels", help="labels CSV path")
     p.set_defaults(func=cmd_ingest)
 
-    for name, func in (("run", cmd_run), ("compare-fixed", cmd_compare_fixed)):
+    for name in ("run", "compare-fixed"):
         p = sub.add_parser(name, help=f"{name} experiments")
         _add_common(p)
         p.add_argument("--data-dir", dest="data_dir", help="dataset directory")
@@ -204,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of horizons for the fixed suite")
         p.add_argument("--time-channel", dest="time_channel",
                        help="append the window-start time channel (true/false)")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="print tables from a metrics.json")
     p.add_argument("metrics", help="path to metrics.json")

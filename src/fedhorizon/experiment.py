@@ -25,7 +25,7 @@ from .cohort import impute_stay  # noqa: F401  (a name perfbench traces)
 from .config import ExperimentConfig, config_hash, persist_config
 from .metrics import DetectionRecord, aggregate_folds, confusion, eda, \
     earliest_detection, f1, fir, per_horizon_f1, roc_auc
-from .schema import ICU_NAMES
+from .schema import ICU_NAMES, MAX_HORIZON
 
 
 @dataclass
@@ -158,6 +158,15 @@ def _detections(test: TestSet, probs, threshold):
     return out
 
 
+def _add_fir_eda(row: dict, records: list[DetectionRecord]) -> None:
+    """FIR, then EDA, of these septic patients' detections, into ``row``;
+    nothing when there are none."""
+    if records:
+        row["fir"] = fir([r.t_federated is not None for r in records],
+                         [r.t_local is not None for r in records])
+        row["eda"] = eda(records)
+
+
 def evaluate_fold(models: dict, test_sets: dict[str, TestSet],
                   cfg: ExperimentConfig) -> dict:
     """Fold report: (setting, icu|overall) -> metric dict.
@@ -197,16 +206,8 @@ def evaluate_fold(models: dict, test_sets: dict[str, TestSet],
             records = [DetectionRecord(pid, loc_det[pid], fed_det[pid])
                        for pid in test.septic_patients]
             all_records.extend(records)
-            if records:
-                fed_flags = [r.t_federated is not None for r in records]
-                loc_flags = [r.t_local is not None for r in records]
-                report[("federated", icu)]["fir"] = fir(fed_flags, loc_flags)
-                report[("federated", icu)]["eda"] = eda(records)
-        if all_records:
-            fed_flags = [r.t_federated is not None for r in all_records]
-            loc_flags = [r.t_local is not None for r in all_records]
-            report[("federated", "overall")]["fir"] = fir(fed_flags, loc_flags)
-            report[("federated", "overall")]["eda"] = eda(all_records)
+            _add_fir_eda(report[("federated", icu)], records)
+        _add_fir_eda(report[("federated", "overall")], all_records)
     return report
 
 
@@ -316,7 +317,7 @@ def _json_num(value):
 
 
 def _row_obj(setting, icu, fold, metrics) -> dict:
-    per_h = {str(h): metrics[f"f1_h{h}"] for h in range(1, 26)
+    per_h = {str(h): metrics[f"f1_h{h}"] for h in range(1, MAX_HORIZON + 1)
              if f"f1_h{h}" in metrics}
     return {
         "setting": setting,
@@ -374,7 +375,7 @@ def emit_reports(result: RunResult, out_dir: str) -> dict[str, str]:
         for (setting, icu) in sorted(mean):
             if setting != "federated":
                 continue
-            for h in range(1, 26):
+            for h in range(1, MAX_HORIZON + 1):
                 fed = mean[(setting, icu)].get(f"f1_h{h}")
                 if fed is None:
                     continue

@@ -21,7 +21,7 @@ through the same executor, one training per task.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class ClientState:
     h_train: np.ndarray  # per-sample prediction horizon
     X_val: np.ndarray
     y_val: np.ndarray
-    h_val: np.ndarray | None = None
+    h_val: np.ndarray
     pos_weight: float | None = 1.0  # None: auto, see loss_pos_weight
 
     @property
@@ -59,6 +59,14 @@ class ClientState:
             return self.pos_weight
         n_pos = int(self.y_train.sum())
         return (self.n_k - n_pos) / max(n_pos, 1)
+
+
+_TRAIN_ARRAYS = ("X_train", "y_train", "h_train")
+_VAL_ARRAYS = ("X_val", "y_val", "h_val")
+
+
+def _take(client: ClientState, names, sel) -> dict:
+    return {name: getattr(client, name)[sel] for name in names}
 
 
 @dataclass
@@ -249,18 +257,9 @@ def pool_clients(clients: list[ClientState]) -> ClientState:
         raise FederationError("no clients to pool")
     if len(clients) == 1:
         return clients[0]
-    return ClientState(
-        icu_id="CENTRAL",
-        index=clients[0].index,
-        X_train=np.concatenate([c.X_train for c in clients]),
-        y_train=np.concatenate([c.y_train for c in clients]),
-        h_train=np.concatenate([c.h_train for c in clients]),
-        X_val=np.concatenate([c.X_val for c in clients]),
-        y_val=np.concatenate([c.y_val for c in clients]),
-        h_val=(np.concatenate([c.h_val for c in clients])
-               if all(c.h_val is not None for c in clients) else None),
-        pos_weight=clients[0].pos_weight,
-    )
+    return replace(clients[0], icu_id="CENTRAL", **{
+        name: np.concatenate([getattr(c, name) for c in clients])
+        for name in _TRAIN_ARRAYS + _VAL_ARRAYS})
 
 
 def _solo_task(position: int, shared: tuple):
@@ -290,11 +289,10 @@ def train_alone(clients: list[ClientState], model_config: nn.ModelConfig,
 
 
 def run_settings(settings, clients: list[ClientState],
-                 model_config: nn.ModelConfig, seed: int, rounds: int = 50,
-                 local_epochs: int = 3, batch_size: int = 64,
-                 lr: float = nn.ADAM_LR, patience: int = 3,
-                 min_delta: float = 1e-4, threshold: float = 0.5) -> dict:
-    """Train under each evaluation setting.
+                 model_config: nn.ModelConfig, **train_kwargs) -> dict:
+    """Train under each evaluation setting; ``train_kwargs`` are
+    ``run_federated``'s training arguments (``seed`` and ``rounds`` are
+    required).
 
     Returns {setting: ({name: Model}, {name: [RoundLog]})} in the order
     of ``settings``: one model per ICU for Local, a single "federated" /
@@ -307,20 +305,17 @@ def run_settings(settings, clients: list[ClientState],
     for setting in settings:
         if setting not in ("local", "federated", "central"):
             raise FederationError(f"unknown setting {setting!r}")
-    kwargs = dict(seed=seed, rounds=rounds, local_epochs=local_epochs,
-                  batch_size=batch_size, lr=lr, patience=patience,
-                  min_delta=min_delta, threshold=threshold)
     solo = []  # (setting, name, client)
     if "local" in settings:
         solo += [("local", client.icu_id, client) for client in clients]
     if "central" in settings:
         solo.append(("central", "central", pool_clients(clients)))
     trained = train_alone([client for _, _, client in solo], model_config,
-                          **kwargs)
+                          **train_kwargs)
     out = {}
     for setting in settings:
         if setting == "federated":
-            model, logs = run_federated(clients, model_config, **kwargs)
+            model, logs = run_federated(clients, model_config, **train_kwargs)
             out[setting] = {"federated": model}, {"federated": logs}
             continue
         runs = [(name, result) for (owner, name, _), result
@@ -347,21 +342,9 @@ def filter_client_horizon(client: ClientState, horizon: int) -> ClientState:
     if not sel_tr.any():
         raise FederationError(
             f"client {client.icu_id} has no training samples at horizon {horizon}")
-    X_val, y_val, h_val = client.X_val, client.y_val, client.h_val
-    if h_val is not None and (h_val == horizon).any():
-        sel_val = h_val == horizon
-        X_val, y_val, h_val = X_val[sel_val], y_val[sel_val], h_val[sel_val]
-    return ClientState(
-        icu_id=client.icu_id,
-        index=client.index,
-        X_train=client.X_train[sel_tr],
-        y_train=client.y_train[sel_tr],
-        h_train=client.h_train[sel_tr],
-        X_val=X_val,
-        y_val=y_val,
-        h_val=h_val,
-        pos_weight=client.pos_weight,
-    )
+    sel_val = client.h_val == horizon
+    val = _take(client, _VAL_ARRAYS, sel_val) if sel_val.any() else {}
+    return replace(client, **_take(client, _TRAIN_ARRAYS, sel_tr), **val)
 
 
 def run_fixed_window_suite(clients: list[ClientState], horizons: list[int],

@@ -81,8 +81,7 @@ def roc_auc(probs, labels) -> float:
     distinct = np.r_[sorted_probs[1:] != sorted_probs[:-1], True]
     tpr = np.r_[0.0, tps[distinct] / n_pos]
     fpr = np.r_[0.0, fps[distinct] / n_neg]
-    trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
-    return float(trapezoid(tpr, fpr))
+    return float(np.trapezoid(tpr, fpr))
 
 
 @dataclass(frozen=True)

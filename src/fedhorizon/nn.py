@@ -4,6 +4,8 @@ Architecture: single-head scaled dot-product self-attention over the 6
 time steps (with residual connection), three LSTM layers of 16 units,
 each followed by batch normalization and dropout, a dense layer to 8
 units with batch normalization and dropout, and a single sigmoid output.
+Batch norm normalises over every axis but the last, and it updates its
+running statistics in one place; one function draws every dropout mask.
 
 All gradients are exact (verified against finite differences). A model's
 parameters live in one flat vector with a documented layout, and its
@@ -159,11 +161,9 @@ class ForwardState:
     attn: np.ndarray  # (B, T, T) softmax weights, rows sum to 1
     layers: list = field(default_factory=list)  # per-LSTM-layer caches
     dense_in: np.ndarray | None = None
-    dense_pre: np.ndarray | None = None
-    dense_bn: dict | None = None
+    dense_bn: tuple | None = None
     dense_mask: np.ndarray | None = None
     dense_out: np.ndarray | None = None
-    logits: np.ndarray | None = None
     probs: np.ndarray | None = None
 
 
@@ -200,11 +200,17 @@ def attention_forward(params, X):
     return context, (q, k, v, attn)
 
 
-def _bn_forward(x, gamma, beta, running_mean, running_var, train, axes):
+def _bn_forward(x, gamma, beta, running_mean, running_var, train):
+    """Batch norm over every axis but the last; train mode uses the batch
+    statistics and moves the running ones toward them, in place."""
     if train:
+        axes = tuple(range(x.ndim - 1))
         mu = x.mean(axis=axes)
         var = x.var(axis=axes)
-        # running stats updated in place by the caller
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         mu, var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
@@ -212,18 +218,27 @@ def _bn_forward(x, gamma, beta, running_mean, running_var, train, axes):
     xhat *= inv_std
     out = gamma * xhat
     out += beta
-    return out, {"xhat": xhat, "mu": mu, "var": var, "inv_std": inv_std,
-                 "axes": axes}
+    return out, (xhat, inv_std)
 
 
 def _bn_backward(dy, gamma, cache):
-    axes = cache["axes"]
-    n = np.prod([dy.shape[a] for a in (axes if isinstance(axes, tuple) else (axes,))])
-    xhat, inv_std = cache["xhat"], cache["inv_std"]
+    axes = tuple(range(dy.ndim - 1))
+    # n stays a NumPy integer: NumPy 2 promotes float32 / np.int64 to
+    # float64, while float32 / int stays float32, so a Python int would
+    # change the bits of a model trained on float32 windows
+    n = np.prod(dy.shape[:-1])
+    xhat, inv_std = cache
     dgamma = (dy * xhat).sum(axis=axes)
     dbeta = dy.sum(axis=axes)
     dx = (gamma * inv_std) * (dy - dbeta / n - xhat * (dgamma / n))
     return dx, dgamma, dbeta
+
+
+def _dropout(x, rng, keep, dtype):
+    """Inverted dropout: ``x`` times a fresh mask of 0 and 1/keep drawn
+    from ``rng``; returns (dropped x, mask)."""
+    mask = (rng.random(x.shape) < keep).astype(dtype) / keep
+    return x * mask, mask
 
 
 def _lstm_forward(layer_in, wx, wh, b, dtype, train):
@@ -315,7 +330,8 @@ def forward(params, X, mode, rng=None, *, buffers, config: ModelConfig):
         raise ModelError(f"input has {F} features, model expects {config.n_features}")
     if train and B < 2:
         raise ModelError("train mode needs batch size >= 2 (batch-norm variance)")
-    if train and rng is None and config.dropout > 0:
+    drop = train and config.dropout > 0
+    if drop and rng is None:
         raise ModelError("train mode requires an rng for dropout")
     keep = 1.0 - config.dropout
 
@@ -327,22 +343,12 @@ def forward(params, X, mode, rng=None, *, buffers, config: ModelConfig):
         hs, gates, cells = _lstm_forward(
             layer_in, params[f"lstm{layer}_wx"], params[f"lstm{layer}_wh"],
             params[f"lstm{layer}_b"], X.dtype, train)
-        normed, bn_cache = _bn_forward(
+        out, bn_cache = _bn_forward(
             hs, params[f"bn{layer}_gamma"], params[f"bn{layer}_beta"],
-            buffers[f"bn{layer}_mean"], buffers[f"bn{layer}_var"],
-            train, axes=(0, 1),
-        )
-        if train:
-            buffers[f"bn{layer}_mean"] *= 1.0 - BN_MOMENTUM
-            buffers[f"bn{layer}_mean"] += BN_MOMENTUM * bn_cache["mu"]
-            buffers[f"bn{layer}_var"] *= 1.0 - BN_MOMENTUM
-            buffers[f"bn{layer}_var"] += BN_MOMENTUM * bn_cache["var"]
-        if train and config.dropout > 0:
-            mask = (rng.random(normed.shape) < keep).astype(X.dtype) / keep
-            out = normed * mask
-        else:
-            mask = None
-            out = normed
+            buffers[f"bn{layer}_mean"], buffers[f"bn{layer}_var"], train)
+        mask = None
+        if drop:
+            out, mask = _dropout(out, rng, keep, X.dtype)
         state.layers.append({
             "input": layer_in, "gates": gates, "c": cells, "h": hs,
             "bn": bn_cache, "mask": mask,
@@ -350,31 +356,20 @@ def forward(params, X, mode, rng=None, *, buffers, config: ModelConfig):
         layer_in = out
 
     u = layer_in[:, -1, :]  # final hidden state of the top LSTM layer
-    dense_pre = u @ params["dense_w"] + params["dense_b"]
     dense_out, dense_bn = _bn_forward(
-        dense_pre, params["bn_dense_gamma"], params["bn_dense_beta"],
-        buffers["bn_dense_mean"], buffers["bn_dense_var"], train, axes=0,
-    )
-    if train:
-        buffers["bn_dense_mean"] *= 1.0 - BN_MOMENTUM
-        buffers["bn_dense_mean"] += BN_MOMENTUM * dense_bn["mu"]
-        buffers["bn_dense_var"] *= 1.0 - BN_MOMENTUM
-        buffers["bn_dense_var"] += BN_MOMENTUM * dense_bn["var"]
-    if train and config.dropout > 0:
-        dmask = (rng.random(dense_out.shape) < keep).astype(X.dtype) / keep
-        dense_out = dense_out * dmask
-    else:
-        dmask = None
+        u @ params["dense_w"] + params["dense_b"], params["bn_dense_gamma"],
+        params["bn_dense_beta"], buffers["bn_dense_mean"],
+        buffers["bn_dense_var"], train)
+    dmask = None
+    if drop:
+        dense_out, dmask = _dropout(dense_out, rng, keep, X.dtype)
 
-    logits = (dense_out @ params["out_w"] + params["out_b"]).ravel()
-    probs = _sigmoid(logits)
+    probs = _sigmoid((dense_out @ params["out_w"] + params["out_b"]).ravel())
 
     state.dense_in = u
-    state.dense_pre = dense_pre
     state.dense_bn = dense_bn
     state.dense_mask = dmask
     state.dense_out = dense_out
-    state.logits = logits
     state.probs = probs
     return probs, state
 
@@ -467,13 +462,10 @@ def backward(params, state: ForwardState, labels, pos_weight: float = 1.0,
     scale = 1.0 / np.sqrt(state.X.shape[-1])
     dQ = dS @ k * scale
     dK = dS.transpose(0, 2, 1) @ q * scale
-    X = state.X
-    grads["attn_wq"][...] = X.reshape(-1, X.shape[-1]).T @ dQ.reshape(-1, dQ.shape[-1])
-    grads["attn_bq"][...] = dQ.sum(axis=(0, 1))
-    grads["attn_wk"][...] = X.reshape(-1, X.shape[-1]).T @ dK.reshape(-1, dK.shape[-1])
-    grads["attn_bk"][...] = dK.sum(axis=(0, 1))
-    grads["attn_wv"][...] = X.reshape(-1, X.shape[-1]).T @ dV.reshape(-1, dV.shape[-1])
-    grads["attn_bv"][...] = dV.sum(axis=(0, 1))
+    X_rows = state.X.reshape(-1, state.X.shape[-1])
+    for name, d in (("q", dQ), ("k", dK), ("v", dV)):
+        grads[f"attn_w{name}"][...] = X_rows.T @ d.reshape(-1, d.shape[-1])
+        grads[f"attn_b{name}"][...] = d.sum(axis=(0, 1))
     # dX itself is not needed: inputs are data, not parameters.
 
     return grad
@@ -500,14 +492,14 @@ class AdamState:
 
 
 def apply_update(params_vec, grad_vec, state: AdamState,
-                 lr: float = ADAM_LR, betas=ADAM_BETAS, eps: float = ADAM_EPS):
+                 lr: float = ADAM_LR):
     """One Adam step on the flat parameter vector, which it updates in
     place, as it does ``state.m`` and ``state.v``; returns the vector."""
     if params_vec.shape != grad_vec.shape:
         raise ModelError("parameter/gradient length mismatch")
     if not np.isfinite(grad_vec).all():
         raise ModelError("non-finite gradient; training aborted")
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     state.m *= b1
     state.m += (1.0 - b1) * grad_vec
@@ -515,7 +507,7 @@ def apply_update(params_vec, grad_vec, state: AdamState,
     state.v += (1.0 - b2) * grad_vec**2
     m_hat = state.m / (1.0 - b1**state.step)
     v_hat = state.v / (1.0 - b2**state.step)
-    params_vec -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    params_vec -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params_vec
 
 
@@ -526,10 +518,11 @@ def apply_update(params_vec, grad_vec, state: AdamState,
 
 class Model:
     """Parameters and batch-norm buffers of one ModelConfig, held in two
-    vectors it owns (given ones are copied; by default they come from
-    ``init_params``/``init_buffers``): ``vector`` in ``param_layout`` order
-    and ``buffer_vector`` in ``buffer_layout`` order. ``params`` and
-    ``buffers`` are dicts of named views into them, built once."""
+    vectors it owns in ``config``'s dtype (given ones are copied and cast;
+    by default they come from ``init_params``/``init_buffers``): ``vector``
+    in ``param_layout`` order and ``buffer_vector`` in ``buffer_layout``
+    order. ``params`` and ``buffers`` are dicts of named views into them,
+    built once."""
 
     def __init__(self, config: ModelConfig, vector=None, buffer_vector=None):
         self.config = config
@@ -539,7 +532,8 @@ class Model:
             vector = params_to_vector(init_params(config), self.layout)
         if buffer_vector is None:
             buffer_vector = params_to_vector(init_buffers(config), buf_layout)
-        self.vector, self.buffer_vector = np.array(vector), np.array(buffer_vector)
+        self.vector = np.array(vector, dtype=config.np_dtype)
+        self.buffer_vector = np.array(buffer_vector, dtype=config.np_dtype)
         self.params = vector_to_params(self.vector, self.layout)
         self.buffers = vector_to_params(self.buffer_vector, buf_layout)
 

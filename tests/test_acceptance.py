@@ -207,7 +207,7 @@ def test_criterion_4_fedavg_algebra():
     X = crng.normal(size=(40, 6, 5)) + y[:, None, None]
     client = ClientState(icu_id="MICU", index=0, X_train=X, y_train=y,
                          h_train=crng.integers(1, 26, 40),
-                         X_val=X[:8], y_val=y[:8])
+                         X_val=X[:8], y_val=y[:8], h_val=np.full(8, 25))
     fed_model, _ = run_federated([client], model_cfg, seed=5, rounds=3,
                                  early_stop=False)
     manual = nn.Model(model_cfg)

@@ -132,6 +132,19 @@ class TestRunAndReport:
         out = capsys.readouterr().out
         assert "F1" in out and "federated" in out
 
+    def test_compare_fixed_end_to_end(self, tmp_path, tiny_cfg_path,
+                                      tiny_dataset, capsys):
+        out_dir = str(tmp_path / "out")
+        capsys.readouterr()
+        rc = main(["compare-fixed", "--config", tiny_cfg_path,
+                   "--data-dir", tiny_dataset, "--out", out_dir,
+                   "--settings", "local", "--fixed-horizons", "25"])
+        assert rc == 0
+        assert os.path.exists(os.path.join(out_dir, "compare_fixed.csv"))
+        with open(os.path.join(out_dir, "resolved_config.ini")) as fh:
+            assert "settings = local,federated\n" in fh.read()
+        assert "fixed-vs-variable comparison complete" in capsys.readouterr().out
+
     def test_missing_dataset_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--data-dir", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "out")])

@@ -192,6 +192,17 @@ class TestBackward:
         assert grads[0].dtype == np.float32 and grads[1].dtype == np.float64
         assert grads[0].tobytes() == grads[1].astype(np.float32).tobytes()
 
+    @pytest.mark.parametrize("shape", [(8, 3), (8, 6, 3)])
+    def test_batch_norm_gradient_of_float32_batch_is_float64(self, shape):
+        # the batch count stays a NumPy integer, which NumPy 2 promotes
+        # with float32 to float64; the bits of float32 training follow it
+        x = np.random.default_rng(12).normal(size=shape).astype(np.float32)
+        ones, zeros = np.ones(3, np.float32), np.zeros(3, np.float32)
+        _, cache = nn._bn_forward(x, ones, zeros, zeros.copy(), ones.copy(),
+                                  train=True)
+        dx, _, _ = nn._bn_backward(x, ones, cache)
+        assert dx.dtype == np.float64
+
     def test_stale_state_rejected(self):
         model = nn.Model(TINY)
         X, y = _batch(np.random.default_rng(8))
@@ -460,6 +471,20 @@ class TestFlatStorage:
         assert np.array_equal(model.vector[:-1], values[:-1])
         assert model.vector[-1] == -1.0
         assert np.array_equal(twin.to_vector(), values)
+
+    def test_given_vectors_take_the_config_dtype(self):
+        config = dataclasses.replace(TINY, dtype="float32")
+        model = nn.Model(
+            config,
+            nn.params_to_vector(nn.init_params(TINY), nn.param_layout(TINY)),
+            nn.params_to_vector(nn.init_buffers(TINY), nn.buffer_layout(TINY)))
+        assert model.vector.dtype == np.float32
+        assert model.buffer_vector.dtype == np.float32
+        X, y = _batch(np.random.default_rng(18), b=40)
+        adam = nn.train_epochs(model, X, y, epochs=1, batch_size=16, seed=4)
+        assert model.vector.dtype == adam.m.dtype == np.float32
+        for name, view in model.params.items():
+            assert view.dtype == np.float32, name
 
 
 class TestCheckpoint:
