@@ -28,6 +28,7 @@ import numpy as np
 from . import nn, pool
 from .metrics import confusion, f1
 from .schema import MAX_HORIZON
+from .windowing import WindowSet
 
 
 class FederationError(ValueError):
@@ -38,10 +39,10 @@ class FederationError(ValueError):
 class ClientState:
     icu_id: str
     index: int  # stable client index used for seed derivation
-    X_train: np.ndarray
+    X_train: WindowSet  # gathered by the batch in training
     y_train: np.ndarray
     h_train: np.ndarray  # per-sample prediction horizon
-    X_val: np.ndarray
+    X_val: WindowSet
     y_val: np.ndarray
     h_val: np.ndarray
     pos_weight: float | None = 1.0  # None: auto, see loss_pos_weight
@@ -66,7 +67,17 @@ _VAL_ARRAYS = ("X_val", "y_val", "h_val")
 
 
 def _take(client: ClientState, names, sel) -> dict:
-    return {name: getattr(client, name)[sel] for name in names}
+    """The windows, labels and horizons ``names`` of ``client`` at ``sel``."""
+    X, y, h = (getattr(client, name) for name in names)
+    return dict(zip(names, (X.select(sel), y[sel], h[sel])))
+
+
+def _join(clients: list[ClientState], names) -> dict:
+    """The windows, labels and horizons ``names`` of ``clients`` joined in
+    client order."""
+    X, y, h = zip(*([getattr(c, name) for name in names] for c in clients))
+    return dict(zip(names, (WindowSet.concatenate(X), np.concatenate(y),
+                            np.concatenate(h))))
 
 
 @dataclass
@@ -172,9 +183,11 @@ def run_round(global_model: nn.Model, clients: list[ClientState],
 
 def validation_f1(model: nn.Model, clients: list[ClientState],
                   threshold: float = 0.5) -> float:
-    X = np.concatenate([c.X_val for c in clients])
+    """F1 of ``model`` on the clients' validation windows, scored as one
+    set in client order."""
+    X = WindowSet.concatenate([c.X_val for c in clients])
     y = np.concatenate([c.y_val for c in clients])
-    if X.shape[0] == 0:
+    if len(X) == 0:
         return 0.0
     probs = model.predict_proba(X)
     return f1(confusion(probs, y, threshold))
@@ -257,9 +270,9 @@ def pool_clients(clients: list[ClientState]) -> ClientState:
         raise FederationError("no clients to pool")
     if len(clients) == 1:
         return clients[0]
-    return replace(clients[0], icu_id="CENTRAL", **{
-        name: np.concatenate([getattr(c, name) for c in clients])
-        for name in _TRAIN_ARRAYS + _VAL_ARRAYS})
+    return replace(clients[0], icu_id="CENTRAL",
+                   **_join(clients, _TRAIN_ARRAYS),
+                   **_join(clients, _VAL_ARRAYS))
 
 
 def _solo_task(position: int, shared: tuple):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fedhorizon.cohort import PatientStay
-from fedhorizon.schema import N_HOURS, default_schema
+from fedhorizon.schema import INPUT_WINDOW, N_HOURS, default_schema
+from fedhorizon.windowing import WindowSet
 
 
 @pytest.fixture(autouse=True)
@@ -22,6 +23,13 @@ def no_child_process_left():
 @pytest.fixture(scope="session")
 def schema():
     return default_schema()
+
+
+def window_set(X):
+    """A window set, without the time channel, whose windows are the
+    (M, 6, F) blocks of ``X``: window i is rows 6i to 6i + 5."""
+    return WindowSet(X.reshape(-1, X.shape[-1]),
+                     np.arange(len(X)) * INPUT_WINDOW, time_channel=False)
 
 
 def make_stay(stay_id="s1", patient_id=None, icu="MICU", stay_index=1,

@@ -26,6 +26,8 @@ from fedhorizon.schema import ICU_NAMES, N_HOURS, default_schema
 from fedhorizon.synthgen import generate_cohort
 from fedhorizon.windowing import make_windows
 
+from conftest import window_set
+
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
@@ -205,9 +207,10 @@ def test_criterion_4_fedavg_algebra():
     crng = np.random.default_rng(7)
     y = (np.arange(40) % 2).astype(float)
     X = crng.normal(size=(40, 6, 5)) + y[:, None, None]
-    client = ClientState(icu_id="MICU", index=0, X_train=X, y_train=y,
-                         h_train=crng.integers(1, 26, 40),
-                         X_val=X[:8], y_val=y[:8], h_val=np.full(8, 25))
+    client = ClientState(icu_id="MICU", index=0, X_train=window_set(X),
+                         y_train=y, h_train=crng.integers(1, 26, 40),
+                         X_val=window_set(X[:8]), y_val=y[:8],
+                         h_val=np.full(8, 25))
     fed_model, _ = run_federated([client], model_cfg, seed=5, rounds=3,
                                  early_stop=False)
     manual = nn.Model(model_cfg)

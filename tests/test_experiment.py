@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from fedhorizon import experiment, pool
-from fedhorizon.config import resolve_config
-from fedhorizon.schema import ICU_NAMES, INPUT_WINDOW
+from fedhorizon.config import ConfigError, resolve_config
+from fedhorizon.schema import ICU_NAMES, INPUT_WINDOW, N_HOURS
 from fedhorizon.synthgen import SynthConfig, generate_cohort
+from fedhorizon.windowing import WindowSet
 
 
 def tiny_config(**overrides):
@@ -43,7 +44,7 @@ class TestPrepareFold:
                            cfg.seed)
         clients, _ = experiment.prepare_fold(part, 0, cfg)
         for c in clients:
-            X = np.concatenate([c.X_train, c.X_val])
+            X = np.concatenate([c.X_train[:], c.X_val[:]])
             means = np.abs(X.mean(axis=(0, 1)))
             # statistics are fit on whole 30-hour grids while windows
             # resample interior hours, so the match is loose on 10 patients
@@ -90,8 +91,28 @@ class TestPrepareFold:
         a, _ = experiment.prepare_fold(part, 0, cfg)
         b, _ = experiment.prepare_fold(part, 0, cfg)
         for ca, cb in zip(a, b):
-            np.testing.assert_array_equal(ca.X_train, cb.X_train)
-            np.testing.assert_array_equal(ca.X_val, cb.X_val)
+            np.testing.assert_array_equal(ca.X_train[:], cb.X_train[:])
+            np.testing.assert_array_equal(ca.X_val[:], cb.X_val[:])
+
+    @pytest.mark.parametrize("time_channel", [True, False])
+    def test_windows_hold_each_stack_row_once(self, tiny_partition,
+                                              time_channel):
+        """Every client's training and validation windows and its ICU's
+        test windows hold at most the ICU's stacked grids, plus the time
+        channel's column: no window is stored as a block of its own."""
+        from fedhorizon.cohort import make_splits
+        cfg = tiny_config(time_channel=time_channel)
+        part = make_splits(tiny_partition, cfg.test_fraction, cfg.folds,
+                           cfg.seed)
+        clients, test_sets = experiment.prepare_fold(part, 0, cfg)
+        columns = part.schema.n_features + time_channel
+        for c in clients:
+            train, test = part.train_test_stays(c.icu_id, 0)
+            stacked = (len(train) + len(test)) * N_HOURS * columns * 8
+            held = (c.X_train.rows.nbytes + c.X_val.rows.nbytes
+                    + test_sets[c.icu_id].X.rows.nbytes)
+            assert held <= stacked, c.icu_id
+            assert len(c.X_train) == len(c.y_train) > 0
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +197,22 @@ def test_include_fixed_payload(tiny_partition, tmp_path):
                       "rounds_variable_mean"]
 
 
+@pytest.mark.parametrize("fold_only", [False, True])
+def test_include_fixed_needs_the_federated_setting(tiny_partition, fold_only):
+    """The fixed suite compares against the federated model, and the
+    settings it runs are the configured ones: without ``federated`` a
+    fold fails naming the key, before any training."""
+    from fedhorizon.cohort import make_splits
+    cfg = tiny_config(settings="local", fixed_horizons="25")
+    with pytest.raises(ConfigError, match=r"settings = local: .*'federated'"):
+        if fold_only:
+            split = make_splits(tiny_partition, cfg.test_fraction, cfg.folds,
+                                cfg.seed)
+            experiment.run_fold(split, 0, cfg, include_fixed=True)
+        else:
+            experiment.run_all_folds(tiny_partition, cfg, include_fixed=True)
+
+
 def _reference_prepare_fold(partition, fold, cfg):
     """The per-stay pipeline prepare_fold must match bit for bit: a running
     mean per stay, np.interp per stay and feature, statistics over stacked
@@ -253,6 +290,10 @@ def _reference_prepare_fold(partition, fold, cfg):
 
 
 def _assert_same_bits(got, want, what):
+    if isinstance(got, WindowSet):
+        got = got[:]
+    if isinstance(want, WindowSet):
+        want = want[:]
     if isinstance(want, np.ndarray):
         assert got.dtype == want.dtype, what
         assert got.shape == want.shape, what

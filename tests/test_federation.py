@@ -13,6 +13,8 @@ from fedhorizon.federation import (
     run_federated, run_fixed_window_suite, run_round, run_settings,
 )
 
+from conftest import window_set
+
 N_FEATURES = 5
 MODEL_CONFIG = nn.ModelConfig(n_features=N_FEATURES, lstm_units=4,
                               lstm_layers=2, dense_units=4, seed=3)
@@ -31,8 +33,8 @@ def make_client(index, n=24, seed=0, icu=None, n_val=8):
     X, y, h = block(n)
     Xv, yv, hv = block(n_val)
     return ClientState(icu_id=icu or f"icu{index}", index=index,
-                       X_train=X, y_train=y, h_train=h,
-                       X_val=Xv, y_val=yv, h_val=hv)
+                       X_train=window_set(X), y_train=y, h_train=h,
+                       X_val=window_set(Xv), y_val=yv, h_val=hv)
 
 
 class TestFedavgAggregate:
@@ -207,7 +209,7 @@ class TestRunFederated:
 
     def test_empty_client_rejected(self):
         bad = make_client(0)
-        bad.X_train = bad.X_train[:0]
+        bad.X_train = bad.X_train.select(slice(0, 0))
         bad.y_train = bad.y_train[:0]
         with pytest.raises(FederationError):
             run_federated([bad], MODEL_CONFIG, seed=5, rounds=1)
@@ -259,7 +261,8 @@ class TestWorkerPool:
 
     def test_worker_error_names_client_and_round(self, one_worker_per_client):
         clients = [make_client(0), make_client(1), make_client(2)]
-        clients[1].X_train[3, 2, 1] = np.nan
+        X = clients[1].X_train
+        X.rows[X.first[3] + 2, 1] = np.nan  # window 3, hour 2, feature 1
         with pytest.raises(FederationError,
                            match="client icu1 failed in round 1") as info:
             run_federated(clients, MODEL_CONFIG, seed=5, rounds=2)
@@ -289,7 +292,8 @@ class TestWorkerPool:
 
     def test_solo_error_names_client(self, one_worker_per_client):
         clients = [make_client(0), make_client(1), make_client(2)]
-        clients[2].X_train[0, 0, 0] = np.inf
+        X = clients[2].X_train
+        X.rows[X.first[0], 0] = np.inf  # window 0, hour 0, feature 0
         with pytest.raises(FederationError,
                            match="client icu2 failed in round 1"):
             run_settings(["local"], clients, MODEL_CONFIG, seed=5, rounds=2)
@@ -305,8 +309,8 @@ class TestPoolClients:
         a, b = make_client(0, n=10), make_client(1, n=14)
         pooled = pool_clients([a, b])
         assert pooled.n_k == 24
-        np.testing.assert_array_equal(pooled.X_train[:10], a.X_train)
-        np.testing.assert_array_equal(pooled.X_train[10:], b.X_train)
+        np.testing.assert_array_equal(pooled.X_train[:10], a.X_train[:])
+        np.testing.assert_array_equal(pooled.X_train[10:], b.X_train[:])
         np.testing.assert_array_equal(pooled.y_train,
                                       np.concatenate([a.y_train, b.y_train]))
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from fedhorizon.windowing import WindowingError, cut_windows, make_windows
+from fedhorizon.windowing import WindowingError, WindowSet, cut_windows, \
+    make_windows
 
 from conftest import make_stay
 
@@ -88,7 +89,7 @@ def test_cut_windows_stack_equals_per_stay_windows():
     w = cut_windows(np.stack([s.grid for s in stays]), onsets)
     samples = [x for s in stays for x in make_windows(s)]
     assert w.X.shape == (len(samples), 6, 27)
-    assert np.array_equal(w.X, np.stack([x.features for x in samples]))
+    assert np.array_equal(w.X[:], np.stack([x.features for x in samples]))
     assert w.horizons.tolist() == [x.horizon for x in samples]
     assert w.y.tolist() == [x.label for x in samples]
     assert w.ends.tolist() == [x.window_start + 5 for x in samples]
@@ -97,7 +98,7 @@ def test_cut_windows_stack_equals_per_stay_windows():
 
 def test_cut_windows_empty_stack():
     w = cut_windows(np.empty((0, 30, 26)), np.empty(0), time_channel=False)
-    assert w.X.shape == (0, 6, 26)
+    assert w.X.shape == w.X[:].shape == (0, 6, 26)
     assert w.y.shape == w.horizons.shape == w.ends.shape == (0,)
 
 
@@ -133,9 +134,97 @@ def test_cut_windows_equals_sliding_view_cut(case, time_channel):
         grids, onsets = grids[:0], onsets[:0]
     w = cut_windows(grids, onsets, time_channel)
     want = _sliding_view_windows(grids, onsets, time_channel)
-    for got, ref in zip((w.X, w.y, w.horizons, w.ends, w.source), want):
+    for got, ref in zip((w.X[:], w.y, w.horizons, w.ends, w.source), want):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
-    assert w.X.flags.c_contiguous
+    assert w.X[:].flags.c_contiguous
     if case == "no_windows":
         assert w.X.shape == (0, 6, 26 + time_channel)
+
+
+def _eager_windows(grids, onsets, time_channel):
+    """The cut that wrote every window out as its own (6, C) block: one
+    gather of each kept window's rows, then the time channel."""
+    n_features = grids.shape[2]
+    keep = np.arange(25) + 6 < onsets[:, None]
+    source, start = np.nonzero(keep)
+    rows = grids.reshape(-1, n_features)
+    if time_channel:
+        rows = np.concatenate([rows, np.zeros((len(rows), 1))], axis=1)
+    first = source * 30 + start
+    X = np.take(rows, first[:, None] + np.arange(6), axis=0)
+    if time_channel:
+        X[:, :, n_features] = (start / 24)[:, None]
+    return X
+
+
+def _stack(seed, n, grid_case):
+    rng = np.random.default_rng(seed)
+    grids = rng.normal(size=(2 * n, 30, 26))
+    onsets = rng.choice([np.inf, 30.0, 20.0, 12.25, 7.5, 6.0, 5.0], 2 * n)
+    if grid_case == "non_contiguous":
+        grids, onsets = grids[::2], onsets[::2]
+        assert not grids.flags.c_contiguous
+    else:
+        grids, onsets = grids[:n], onsets[:n]
+    return grids, onsets
+
+
+def _keys(m, rng):
+    """Every kind of key a window set takes, for a set of m windows."""
+    return [0, m // 2, m - 1, -1, -m, slice(None), slice(3, 40, 5),
+            slice(None, None, -3), slice(10, 3),
+            rng.integers(0, m, 50), rng.permutation(m)[:20],
+            np.array([-1, 0, -m]), rng.random(m) < 0.3,
+            np.zeros(m, dtype=bool), np.array([], dtype=np.intp)]
+
+
+def _assert_same_windows(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("time_channel", [True, False])
+@pytest.mark.parametrize("grid_case", ["contiguous", "non_contiguous"])
+class TestWindowSet:
+    def test_gathers_equal_eager_cut(self, time_channel, grid_case):
+        grids, onsets = _stack(3, 9, grid_case)
+        X = cut_windows(grids, onsets, time_channel).X
+        want = _eager_windows(grids, onsets, time_channel)
+        assert len(X) == len(want) > 40
+        assert X.shape == want.shape
+        for key in _keys(len(X), np.random.default_rng(1)):
+            _assert_same_windows(X[key], want[key])
+
+    def test_select_shares_rows(self, time_channel, grid_case):
+        grids, onsets = _stack(4, 9, grid_case)
+        X = cut_windows(grids, onsets, time_channel).X
+        want = _eager_windows(grids, onsets, time_channel)
+        rng = np.random.default_rng(2)
+        for sel in (slice(5, None, 2), rng.permutation(len(X))[:60],
+                    rng.random(len(X)) < 0.5, slice(0, 0)):
+            part = X.select(sel)
+            assert part.rows is X.rows
+            assert len(part) == len(want[sel])
+            _assert_same_windows(part[:], want[sel])
+            if len(part):
+                for key in _keys(len(part), rng):
+                    _assert_same_windows(part[key], want[sel][key])
+
+    def test_concatenate_joins_rows(self, time_channel, grid_case):
+        stacks = [_stack(seed, n, grid_case) for seed, n in ((5, 9), (6, 4),
+                                                             (7, 7))]
+        sets = [cut_windows(g, o, time_channel).X for g, o in stacks]
+        wants = [_eager_windows(g, o, time_channel) for g, o in stacks]
+        assert WindowSet.concatenate(sets[:1]) is sets[0]
+        rng = np.random.default_rng(3)
+        mask = rng.random(len(sets[2])) < 0.5
+        joined = WindowSet.concatenate([sets[0].select(slice(2, None, 3)),
+                                        sets[1], sets[2].select(mask)])
+        want = np.concatenate([wants[0][2::3], wants[1], wants[2][mask]])
+        assert joined.rows.shape[0] == sum(len(s.rows) for s in sets)
+        assert joined.shape == want.shape
+        for key in [slice(None)] + _keys(len(joined), rng):
+            _assert_same_windows(joined[key], want[key])
