@@ -13,7 +13,9 @@ run through ``pool.executor``: in a fork pool of worker processes, one
 per usable CPU, that inherit the shared data (the clients) when they
 start, or in-process when one worker is enough. Per FedAvg round only
 the two global vectors go out, and the trained vectors and losses come
-back. Aggregation stays in the calling process, in client order, so
+back. A client's loss is the one it trained on: the mean train-mode loss,
+with dropout on, over its last local epoch; a client task scores nothing
+in eval mode. Aggregation stays in the calling process, in client order, so
 pooled and in-process runs are bit-identical. The one-client trainings of
 the Local and Central settings are independent of each other, so they go
 through the same executor, one training per task.
@@ -83,6 +85,7 @@ def _join(clients: list[ClientState], names) -> dict:
 @dataclass
 class RoundLog:
     round: int  # 1-based
+    # icu_id -> mean train-mode loss (dropout on) over the last local epoch
     client_losses: dict = field(default_factory=dict)
     val_f1: float = 0.0
     converged: bool = False
@@ -109,8 +112,6 @@ def fedavg_aggregate(updates: list[tuple[np.ndarray, float]]) -> np.ndarray:
         if weight <= 0:
             raise FederationError(f"non-positive client weight {weight}")
         total += weight
-    if total <= 0:
-        raise FederationError("zero total weight")
     out = np.zeros(length, dtype=updates[0][0].dtype)
     for vec, weight in updates:
         out += (weight / total) * vec
@@ -123,34 +124,28 @@ def client_seed(seed: int, client_index: int, round_index: int) -> int:
         [seed, client_index, round_index]).generate_state(1)[0])
 
 
-def _eval_loss(model: nn.Model, X, y, pos_weight: float) -> float:
-    probs = model.predict_proba(X)
-    return nn.loss(probs, y, pos_weight=pos_weight)
-
-
 def _client_task(job, clients: list[ClientState]):
     """Train one client for one round from the global vectors.
 
     ``job`` is ``(position, config, params, buffers, round_index, seed,
     local_epochs, batch_size, lr)``. Returns the trained parameter and
-    buffer vectors and the client's training loss.
+    buffer vectors and the client's training loss, as ``nn.train_epochs``
+    reports it.
     """
     (position, config, params, buffers, round_index, seed, local_epochs,
      batch_size, lr) = job
     client = clients[position]
-    pos_weight = client.loss_pos_weight
     local = nn.Model(config, params, buffers)
     try:
-        nn.train_epochs(
+        _, loss = nn.train_epochs(
             local, client.X_train, client.y_train,
             epochs=local_epochs, batch_size=batch_size,
             seed=client_seed(seed, client.index, round_index),
-            lr=lr, pos_weight=pos_weight)
+            lr=lr, pos_weight=client.loss_pos_weight)
     except nn.ModelError as exc:
         raise FederationError(
             f"client {client.icu_id} failed in round {round_index}: {exc}"
         ) from exc
-    loss = _eval_loss(local, client.X_train, client.y_train, pos_weight)
     return local.vector, local.buffer_vector, loss
 
 

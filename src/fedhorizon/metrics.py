@@ -1,4 +1,4 @@
-"""Evaluation metrics: F1, trapezoidal ROC AUC, federated improvement
+"""Evaluation metrics: F1, rank (Mann-Whitney) ROC AUC, federated improvement
 ratio (FIR), early detection advantage (EDA), and per-horizon / per-fold
 aggregation views.
 
@@ -62,8 +62,8 @@ def f1(counts: ConfusionCounts) -> float:
 
 
 def roc_auc(probs, labels) -> float:
-    """Area under the ROC curve by the trapezoidal rule over all distinct
-    score thresholds; equals P(score_pos > score_neg) + 0.5 P(tie)."""
+    """Area under the ROC curve as the Mann-Whitney statistic, with
+    mid-ranks for tied scores: P(score_pos > score_neg) + 0.5 P(tie)."""
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels)
     if probs.shape != labels.shape:
@@ -72,16 +72,11 @@ def roc_auc(probs, labels) -> float:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC undefined: need at least one of each class")
-    order = np.argsort(-probs, kind="stable")
-    sorted_probs = probs[order]
-    sorted_pos = (labels[order] == 1).astype(float)
-    tps = np.cumsum(sorted_pos)
-    fps = np.cumsum(1.0 - sorted_pos)
-    # collapse ties: keep the last index of each distinct score
-    distinct = np.r_[sorted_probs[1:] != sorted_probs[:-1], True]
-    tpr = np.r_[0.0, tps[distinct] / n_pos]
-    fpr = np.r_[0.0, fps[distinct] / n_neg]
-    return float(np.trapezoid(tpr, fpr))
+    _, inverse, counts = np.unique(probs, return_inverse=True,
+                                   return_counts=True)
+    mid_rank = np.cumsum(counts) - (counts - 1) / 2.0  # 1-based
+    rank_sum = mid_rank[inverse][labels == 1].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 @dataclass(frozen=True)

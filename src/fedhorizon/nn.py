@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -159,12 +159,12 @@ class ForwardState:
     k: np.ndarray
     v: np.ndarray
     attn: np.ndarray  # (B, T, T) softmax weights, rows sum to 1
-    layers: list = field(default_factory=list)  # per-LSTM-layer caches
-    dense_in: np.ndarray | None = None
-    dense_bn: tuple | None = None
-    dense_mask: np.ndarray | None = None
-    dense_out: np.ndarray | None = None
-    probs: np.ndarray | None = None
+    layers: list  # per-LSTM-layer caches
+    dense_in: np.ndarray
+    dense_bn: tuple
+    dense_mask: np.ndarray | None  # None without dropout
+    dense_out: np.ndarray
+    probs: np.ndarray
 
 
 def _softmax(x, axis=-1):
@@ -312,11 +312,13 @@ def _lstm_backward(dh_seq, gates, cells, wh):
 
 
 def forward(params, X, mode, rng=None, *, buffers, config: ModelConfig):
-    """Run the network; returns (probabilities (B,), ForwardState).
+    """Run the network; returns (probabilities (B,), state).
 
     Train mode uses batch statistics (updating the running stats in
-    ``buffers`` with momentum) and fresh dropout masks from ``rng``; eval
-    mode uses running statistics and no dropout, and mutates nothing.
+    ``buffers`` with momentum) and fresh dropout masks from ``rng``, and
+    its state is the ForwardState that ``backward`` needs. Eval mode uses
+    running statistics and no dropout, mutates nothing and keeps nothing:
+    its state is None.
     """
     if X.ndim != 3:
         raise ModelError(f"expected (B, T, F) input, got shape {X.shape}")
@@ -338,7 +340,7 @@ def forward(params, X, mode, rng=None, *, buffers, config: ModelConfig):
     context, (q, k, v, attn) = attention_forward(params, X)
     layer_in = context + X  # residual
 
-    state = ForwardState(X=X, q=q, k=k, v=v, attn=attn)
+    layers = []
     for layer in range(config.lstm_layers):
         hs, gates, cells = _lstm_forward(
             layer_in, params[f"lstm{layer}_wx"], params[f"lstm{layer}_wh"],
@@ -349,10 +351,9 @@ def forward(params, X, mode, rng=None, *, buffers, config: ModelConfig):
         mask = None
         if drop:
             out, mask = _dropout(out, rng, keep, X.dtype)
-        state.layers.append({
-            "input": layer_in, "gates": gates, "c": cells, "h": hs,
-            "bn": bn_cache, "mask": mask,
-        })
+        if train:
+            layers.append({"input": layer_in, "gates": gates, "c": cells,
+                           "h": hs, "bn": bn_cache, "mask": mask})
         layer_in = out
 
     u = layer_in[:, -1, :]  # final hidden state of the top LSTM layer
@@ -365,13 +366,11 @@ def forward(params, X, mode, rng=None, *, buffers, config: ModelConfig):
         dense_out, dmask = _dropout(dense_out, rng, keep, X.dtype)
 
     probs = _sigmoid((dense_out @ params["out_w"] + params["out_b"]).ravel())
-
-    state.dense_in = u
-    state.dense_bn = dense_bn
-    state.dense_mask = dmask
-    state.dense_out = dense_out
-    state.probs = probs
-    return probs, state
+    if not train:
+        return probs, None
+    return probs, ForwardState(
+        X=X, q=q, k=k, v=v, attn=attn, layers=layers, dense_in=u,
+        dense_bn=dense_bn, dense_mask=dmask, dense_out=dense_out, probs=probs)
 
 
 def loss(probs, labels, pos_weight: float = 1.0) -> float:
@@ -386,19 +385,19 @@ def loss(probs, labels, pos_weight: float = 1.0) -> float:
     return float(terms.mean())
 
 
-def backward(params, state: ForwardState, labels, pos_weight: float = 1.0,
-             *, config: ModelConfig):
+def backward(params, state: ForwardState | None, labels,
+             pos_weight: float = 1.0, *, config: ModelConfig):
     """Exact gradient of the mean BCE loss w.r.t. every parameter, as one
     new vector in ``param_layout`` order and ``config``'s dtype.
 
     Each gradient is assigned to its named view of the vector, which
     rounds a float64 gradient of a float32 model as ``astype`` would.
-    Requires a state produced by a matching train-mode forward call.
+    Requires the state of a matching train-mode forward call.
     """
-    if state.probs is None or len(state.layers) != config.lstm_layers:
-        raise ModelError("stale or mismatched forward state")
-    if state.layers[0]["gates"] is None:
+    if state is None:
         raise ModelError("backward needs a train-mode forward state")
+    if len(state.layers) != config.lstm_layers:
+        raise ModelError("mismatched forward state")
     labels = np.asarray(labels, dtype=np.float64)
     if labels.shape != state.probs.shape:
         raise ModelError("labels do not match the forward batch")
@@ -562,11 +561,15 @@ class Model:
 
 
 def train_epochs(model: Model, X, y, epochs: int, batch_size: int, seed: int,
-                 lr: float = ADAM_LR, pos_weight: float = 1.0) -> AdamState:
+                 lr: float = ADAM_LR, pos_weight: float = 1.0
+                 ) -> tuple[AdamState, float]:
     """Train in place for full seeded-shuffle passes over (X, y).
 
     Remainder batches of size 1 are dropped (batch-norm needs variance).
-    Returns the optimizer state.
+    Returns the optimizer state and the training loss: the mean train-mode
+    loss, with dropout on, over the last epoch's batches, weighted by
+    batch size (``loss`` of the probabilities each training step's
+    ``forward`` returns). It is nan when no batch was trained.
     """
     if X.shape[0] == 0:
         raise ModelError("empty sample list")
@@ -575,7 +578,8 @@ def train_epochs(model: Model, X, y, epochs: int, batch_size: int, seed: int,
     rng = np.random.default_rng([seed, 0x7E41])
     n = X.shape[0]
     adam = AdamState.zeros(model.vector.size, dtype=model.config.np_dtype)
-    for _ in range(epochs):
+    loss_sum, counted = 0.0, 0
+    for epoch in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
@@ -583,10 +587,13 @@ def train_epochs(model: Model, X, y, epochs: int, batch_size: int, seed: int,
                 continue
             probs, fstate = forward(model.params, X[idx], "train", rng=rng,
                                     buffers=model.buffers, config=model.config)
+            if epoch == epochs - 1:
+                loss_sum += loss(probs, y[idx], pos_weight) * idx.shape[0]
+                counted += idx.shape[0]
             grad = backward(model.params, fstate, y[idx],
                             pos_weight=pos_weight, config=model.config)
             apply_update(model.vector, grad, adam, lr=lr)
-    return adam
+    return adam, (loss_sum / counted if counted else math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def test_criterion_2_metric_oracles():
 
     elapsed = time.time() - start
     _report(2, auc_ok and f1_ok and fir_ok and eda_ok and elapsed < 5,
-            f"AUC max |trapezoid - pairwise| = {worst:.1e} over 200 "
+            f"AUC max |rank - pairwise| = {worst:.1e} over 200 "
             f"instances; f1/fir/eda fixtures "
             f"{'ok' if f1_ok and fir_ok and eda_ok else 'BROKEN'}; "
             f"{elapsed:.2f}s (< 5s)")

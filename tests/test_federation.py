@@ -163,6 +163,21 @@ class TestRunRound:
         _, log = run_round(nn.Model(MODEL_CONFIG), clients, 1, seed=9)
         assert np.isfinite(log.client_losses["icu0"])
 
+    def test_client_task_scores_nothing(self, monkeypatch):
+        """A client reports the loss it trained on; no eval-mode scoring."""
+        calls = []
+        predict_proba = nn.Model.predict_proba
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return predict_proba(self, *args, **kwargs)
+
+        monkeypatch.setattr(nn.Model, "predict_proba", counted)
+        clients = [make_client(0), make_client(1)]
+        _, log = run_round(nn.Model(MODEL_CONFIG), clients, 1, seed=9)
+        assert len(calls) == 0
+        assert all(np.isfinite(v) for v in log.client_losses.values())
+
     def test_auto_pos_weight_weighs_by_own_labels(self):
         auto, fixed = make_client(0), make_client(0)
         for client in (auto, fixed):
@@ -238,15 +253,13 @@ class TestWorkerPool:
             params, buffers, losses = [], [], {}
             for client in clients:
                 local = reference.copy()
-                nn.train_epochs(local, client.X_train, client.y_train,
-                                epochs=3, batch_size=64,
-                                seed=client_seed(5, client.index, round_index),
-                                lr=nn.ADAM_LR, pos_weight=client.pos_weight)
+                _, losses[client.icu_id] = nn.train_epochs(
+                    local, client.X_train, client.y_train, epochs=3,
+                    batch_size=64,
+                    seed=client_seed(5, client.index, round_index),
+                    lr=nn.ADAM_LR, pos_weight=client.pos_weight)
                 params.append((local.to_vector(), client.n_k))
                 buffers.append((local.buffers_to_vector(), client.n_k))
-                losses[client.icu_id] = nn.loss(
-                    local.predict_proba(client.X_train), client.y_train,
-                    pos_weight=client.pos_weight)
             reference = nn.Model(MODEL_CONFIG, fedavg_aggregate(params),
                                  fedavg_aggregate(buffers))
             assert log.client_losses == losses

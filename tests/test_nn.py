@@ -95,9 +95,18 @@ class TestForward:
     def test_attention_rows_sum_to_one(self):
         model = nn.Model(TINY)
         X, _ = _batch(np.random.default_rng(3))
-        _, state = nn.forward(model.params, X, "eval", buffers=model.buffers,
-                              config=TINY)
+        _, state = nn.forward(model.params, X, "train",
+                              rng=np.random.default_rng(0),
+                              buffers=model.buffers, config=TINY)
         assert np.allclose(state.attn.sum(axis=-1), 1.0, atol=1e-6)
+
+    def test_eval_mode_keeps_no_state(self):
+        model = nn.Model(TINY)
+        X, _ = _batch(np.random.default_rng(3))
+        probs, state = nn.forward(model.params, X, "eval",
+                                  buffers=model.buffers, config=TINY)
+        assert state is None
+        assert np.array_equal(probs, model.predict_proba(X))
 
     def test_nonfinite_input_rejected(self):
         model = nn.Model(TINY)
@@ -341,11 +350,17 @@ class TestTrainEpochs:
         return X, y
 
     def test_zero_epochs_is_identity(self):
-        model = nn.Model(TINY)
-        before = model.to_vector()
-        X, y = self._separable()
-        nn.train_epochs(model, X, y, epochs=0, batch_size=16, seed=1)
-        assert np.array_equal(model.to_vector(), before)
+        """No epoch, or no batch of at least 2 windows: nothing trains and
+        the loss is nan."""
+        for n, epochs in ((100, 0), (1, 2)):
+            model = nn.Model(TINY)
+            before = model.to_vector()
+            X, y = self._separable(n=n)
+            adam, loss = nn.train_epochs(model, X, y, epochs=epochs,
+                                         batch_size=16, seed=1)
+            assert np.array_equal(model.to_vector(), before)
+            assert adam.step == 0
+            assert math.isnan(loss)
 
     def test_same_seed_same_result(self):
         X, y = self._separable()
@@ -383,7 +398,9 @@ def _reference_train_epochs(config, X, y, epochs, batch_size, seed,
                             lr=nn.ADAM_LR, pos_weight=1.0):
     """Training on a dict of separate arrays: a fresh unpack of the
     parameter vector on every batch and an out-of-place Adam step.
-    Returns (parameter vector, buffers, Adam m, Adam v, Adam step)."""
+    Returns (parameter vector, buffers, Adam m, Adam v, Adam step, loss),
+    where loss is the mean of the last epoch's batch losses weighted by
+    batch size."""
     layout = nn.param_layout(config)
     vec = nn.params_to_vector(nn.init_params(config), layout)
     buffers = nn.init_buffers(config)
@@ -394,14 +411,17 @@ def _reference_train_epochs(config, X, y, epochs, batch_size, seed,
     rng = np.random.default_rng([seed, 0x7E41])
     for _ in range(epochs):
         order = rng.permutation(X.shape[0])
+        batch_losses, batch_sizes = [], []
         for start in range(0, X.shape[0], batch_size):
             idx = order[start : start + batch_size]
             if idx.shape[0] < 2:
                 continue
             params = {name: arr.copy() for name, arr
                       in nn.vector_to_params(vec, layout).items()}
-            _, state = nn.forward(params, X[idx], "train", rng=rng,
-                                  buffers=buffers, config=config)
+            probs, state = nn.forward(params, X[idx], "train", rng=rng,
+                                      buffers=buffers, config=config)
+            batch_losses.append(nn.loss(probs, y[idx], pos_weight))
+            batch_sizes.append(idx.shape[0])
             g = nn.backward(params, state, y[idx], pos_weight=pos_weight,
                             config=config)
             step += 1
@@ -410,7 +430,12 @@ def _reference_train_epochs(config, X, y, epochs, batch_size, seed,
             m_hat = m / (1.0 - b1**step)
             v_hat = v / (1.0 - b2**step)
             vec = vec - lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
-    return vec, nn.params_to_vector(buffers, nn.buffer_layout(config)), m, v, step
+    loss = 0.0
+    for batch_loss, size in zip(batch_losses, batch_sizes):
+        loss += batch_loss * size
+    loss /= sum(batch_sizes)
+    return (vec, nn.params_to_vector(buffers, nn.buffer_layout(config)), m, v,
+            step, loss)
 
 
 class TestFlatStorage:
@@ -425,15 +450,16 @@ class TestFlatStorage:
         X, y = _batch(np.random.default_rng(16), b=75)
         X = X.astype(x_dtype)
         model = nn.Model(config)
-        adam = nn.train_epochs(model, X, y, epochs=2, batch_size=16, seed=3,
-                               pos_weight=1.7)
-        vec, buffers, m, v, step = _reference_train_epochs(
+        adam, loss = nn.train_epochs(model, X, y, epochs=2, batch_size=16,
+                                     seed=3, pos_weight=1.7)
+        vec, buffers, m, v, step, ref_loss = _reference_train_epochs(
             config, X, y, epochs=2, batch_size=16, seed=3, pos_weight=1.7)
         assert model.vector.dtype == np.dtype(dtype)
         assert np.array_equal(model.to_vector(), vec)
         assert np.array_equal(model.buffers_to_vector(), buffers)
         assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
         assert adam.step == step == 10
+        assert loss == ref_loss
         for name, view in model.params.items():
             assert np.shares_memory(view, model.vector), name
 
@@ -481,7 +507,8 @@ class TestFlatStorage:
         assert model.vector.dtype == np.float32
         assert model.buffer_vector.dtype == np.float32
         X, y = _batch(np.random.default_rng(18), b=40)
-        adam = nn.train_epochs(model, X, y, epochs=1, batch_size=16, seed=4)
+        adam, _ = nn.train_epochs(model, X, y, epochs=1, batch_size=16,
+                                  seed=4)
         assert model.vector.dtype == adam.m.dtype == np.float32
         for name, view in model.params.items():
             assert view.dtype == np.float32, name
