@@ -17,7 +17,8 @@ import sys
 
 from . import experiment, synthgen
 from .cohort import ingest_csv
-from .config import ConfigError, config_hash, persist_config, resolve_config
+from .config import RUN_KEYS, SYNTH_KEYS, VALID_SETTINGS, ConfigError, \
+    config_hash, resolve_config
 from .schema import ICU_NAMES
 
 
@@ -28,11 +29,11 @@ def _add_common(parser):
     parser.add_argument("--out", dest="out_dir", help="output directory")
 
 
-def _resolve(args, extra_keys=()):
-    overrides = {"seed": args.seed, "out_dir": args.out_dir}
-    for key in extra_keys:
-        overrides[key] = getattr(args, key, None)
-    return resolve_config(args.config, overrides)
+def _resolve(args):
+    """The config file, then every parsed flag whose ``dest`` is a key."""
+    return resolve_config(args.config, {
+        key: value for key, value in vars(args).items()
+        if key in RUN_KEYS or key in SYNTH_KEYS})
 
 
 def _print_partition_summary(partition):
@@ -49,11 +50,10 @@ def _print_partition_summary(partition):
 
 
 def cmd_synth(args) -> int:
-    cfg = _resolve(args, ("prevalence", "missingness", "data_dir"))
+    cfg = _resolve(args)
     partition = synthgen.generate_cohort(cfg.synth)
-    out = args.data_dir or cfg.data_dir
-    paths = synthgen.export_csv(partition, out)
-    print(f"synthetic cohort written to {out}")
+    paths = synthgen.export_csv(partition, cfg.data_dir)
+    print(f"synthetic cohort written to {cfg.data_dir}")
     _print_partition_summary(partition)
     for name, path in paths.items():
         print(f"  {name}: {path}")
@@ -84,9 +84,7 @@ def cmd_run(args) -> int:
     """``run``, or with ``compare-fixed`` also the fixed-window suite (which
     adds the federated setting it compares against)."""
     include_fixed = args.command == "compare-fixed"
-    cfg = _resolve(args, ("settings", "rounds", "folds", "batch_size",
-                          "data_dir", "pos_weight",
-                          "fixed_horizons", "time_channel"))
+    cfg = _resolve(args)
     if include_fixed and "federated" not in cfg.settings:
         cfg.settings = tuple(cfg.settings) + ("federated",)
     partition = _load_partition(cfg)
@@ -135,23 +133,25 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _key_list(keys: dict) -> str:
+    return ", ".join(f"{key} ({kind})" for key, kind in keys.items())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedhorizon",
         description="Federated early-sepsis-prediction simulator with "
                     "variable prediction horizons.",
-        epilog="Config keys ([run] section unless noted): data_dir, settings "
-               "(comma list of local,federated,central), rounds, local_epochs, "
-               "folds, batch_size, learning_rate, pos_weight (number|auto), "
-               "threshold, time_channel, fixed_horizons, seed, out_dir, "
-               "patience, min_delta, val_fraction, test_fraction, "
-               "lstm_units, lstm_layers, dense_units, dropout, "
-               "dtype (float64|float32). [synth] keys: counts.<ICU>, shift.<ICU>, prevalence, "
-               "missingness, signal_amp, signal_lead, signal_base, onset_bias, amp_jitter, slow_frac, slow_level, sign_flip_p, noise_scale, ar_rho, "
-               "seed. Folds run in order; the clients of a FedAvg round train "
-               "in worker processes, one per usable CPU, as do the local and "
-               "central trainings of a fold and the formatting of the "
-               "timeseries.csv that synth writes.")
+        epilog="Config keys ([data], [train] or [run] section): "
+               f"{_key_list(RUN_KEYS)}. [synth] keys: counts.<ICU> and "
+               f"shift.<ICU> (one ICU's patients and shift), "
+               f"{_key_list(SYNTH_KEYS)}. A tuple is a comma list; settings "
+               f"are drawn from {','.join(VALID_SETTINGS)}, pos_weight is a "
+               "number or auto and dtype float64 or float32. A flag sets the "
+               "key of the same name. Folds run in order; the clients of a "
+               "FedAvg round train in worker processes, one per usable CPU, "
+               "as do the local and central trainings of a fold and the "
+               "formatting of the timeseries.csv that synth writes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic cohort")

@@ -470,7 +470,8 @@ def make_splits(
 
     Fold k's test set is 1/n_folds of patients; positives are dealt
     round-robin so per-fold prevalence is within one patient of perfect
-    stratification.
+    stratification. ``test_fraction`` is only checked to lie in (0, 1): it
+    does not size the test split, which is always one fold.
     """
     if not (0.0 < test_fraction < 1.0):
         raise CohortError(f"test_fraction {test_fraction} outside (0, 1)")

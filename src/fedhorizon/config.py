@@ -3,6 +3,15 @@ and deterministic hashing of the fully resolved configuration.
 
 Config files are flat ``key = value`` text with ``[section]`` headers.
 Recognized sections: [synth], [data], [train], [run].
+
+The keys are the dataclass fields: ``RUN_KEYS`` from ``ExperimentConfig``
+([data], [train], [run] or an override) and ``SYNTH_KEYS`` from
+``SynthConfig``'s non-dict fields ([synth], or an override that is no run
+key), plus ``counts.<ICU>`` and ``shift.<ICU>`` in [synth]. A value parses
+as its field's annotation; a tuple is a comma list typed like its default's
+items. ``validate`` names the key of any value that cannot train (e.g. a
+``batch_size`` below 2 or a ``dropout`` of 1). ``config_hash`` ignores
+``data_dir`` and ``out_dir``.
 """
 
 from __future__ import annotations
@@ -11,8 +20,9 @@ import configparser
 import hashlib
 import io
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 
+from .nn import ModelConfig, ModelError
 from .schema import ICU_NAMES
 from .synthgen import DEFAULT_COUNTS, DEFAULT_SHIFTS, SynthConfig
 
@@ -55,20 +65,22 @@ class ExperimentConfig:
         for s in self.settings:
             if s not in VALID_SETTINGS:
                 raise ConfigError(f"unknown setting {s!r}")
-        if self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
-        if self.local_epochs < 1:
-            raise ConfigError("local_epochs must be >= 1")
-        if self.folds < 2:
-            raise ConfigError("folds must be >= 2")
-        if not (0.0 < self.threshold < 1.0):
-            raise ConfigError("threshold must lie in (0, 1)")
+        for key, low in (("rounds", 0), ("local_epochs", 1), ("folds", 2),
+                         ("batch_size", 2), ("patience", 1), ("min_delta", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}")
+        for key in ("threshold", "val_fraction", "test_fraction"):
+            if not (0.0 < getattr(self, key) < 1.0):
+                raise ConfigError(f"{key} must lie in (0, 1)")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be > 0")
         for h in self.fixed_horizons:
             if not (1 <= h <= 25):
                 raise ConfigError(f"fixed horizon {h} outside [1, 25]")
-        if self.dtype not in ("float64", "float32"):
-            raise ConfigError(f"dtype must be 'float64' or 'float32', "
-                              f"got {self.dtype!r}")
+        try:
+            self.model_config(1)
+        except ModelError as exc:
+            raise ConfigError(str(exc)) from None
         if self.pos_weight != "auto":
             try:
                 if float(self.pos_weight) <= 0:
@@ -78,6 +90,14 @@ class ExperimentConfig:
                     f"pos_weight must be 'auto' or a positive number, "
                     f"got {self.pos_weight!r}") from None
         self.synth.validate()
+
+    def model_config(self, n_features: int) -> ModelConfig:
+        """The model this config trains on windows of ``n_features``
+        channels (the time channel included)."""
+        return ModelConfig(
+            n_features=n_features, lstm_units=self.lstm_units,
+            lstm_layers=self.lstm_layers, dense_units=self.dense_units,
+            dropout=self.dropout, seed=self.seed, dtype=self.dtype)
 
     @property
     def client_pos_weight(self) -> float | None:
@@ -94,19 +114,37 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-_EXPECTED = {int: "an integer", float: "a number", _parse_bool: "a boolean"}
+# annotation: (parser, what a ConfigError says it expected)
+_PARSE = {"int": (int, "an integer"), "float": (float, "a number"),
+          "bool": (_parse_bool, "a boolean"), "str": (str, None)}
+
+# {key: annotation}, read from the dataclasses (annotations are strings here)
+RUN_KEYS = {f.name: f.type for f in fields(ExperimentConfig)
+            if f.name != "synth"}
+SYNTH_KEYS = {f.name: f.type for f in fields(SynthConfig) if f.type != "dict"}
 
 
-def _convert(convert, raw, section: str | None, key: str):
-    """``convert(raw)``, or a ConfigError naming where the value came from
+def _value(kind: str, raw, section: str | None, key: str):
+    """``raw``, config text or an already typed override, as a value of
+    annotation ``kind``, or a ConfigError naming where the value came from
     (a ``[section]`` of the config file, or an override), the key and the
     value."""
+    if kind == "tuple":
+        item = type(getattr(ExperimentConfig, key)[0]).__name__
+        if isinstance(raw, str):
+            # other items stay as written, so an error quotes them as given
+            raw = [s.strip() if item == "str" else s
+                   for s in raw.split(",") if s.strip()]
+        return tuple(_value(item, s, section, key) for s in raw)
+    if kind == "bool" and isinstance(raw, bool):
+        return raw
+    parse, expected = _PARSE[kind]
     try:
-        return convert(raw)
+        return parse(raw)
     except (TypeError, ValueError):
         where = f"[{section}]" if section else "override"
         raise ConfigError(f"{where} {key} = {raw!r}: expected "
-                          f"{_EXPECTED[convert]}") from None
+                          f"{expected}") from None
 
 
 def load_config_file(path: str) -> dict:
@@ -121,84 +159,38 @@ def load_config_file(path: str) -> dict:
 
 def resolve_config(file_path: str | None = None, overrides: dict | None = None
                    ) -> ExperimentConfig:
-    """Defaults, then config file values, then CLI overrides."""
+    """Defaults, then config file values, then CLI overrides (a None
+    override is ignored)."""
     cfg = ExperimentConfig()
-    counts = dict(DEFAULT_COUNTS)
-    shifts = dict(DEFAULT_SHIFTS)
-    synth_kwargs = {}
-
+    synth = {"counts": dict(DEFAULT_COUNTS), "shifts": dict(DEFAULT_SHIFTS)}
+    pairs = []
     if file_path:
-        data = load_config_file(file_path)
-        synth_section = data.pop("synth", {})
-        for key, raw in synth_section.items():
-            if key.startswith("counts."):
-                counts[key.split(".", 1)[1]] = _convert(int, raw, "synth", key)
-            elif key.startswith("shift."):
-                shifts[key.split(".", 1)[1]] = _convert(float, raw, "synth",
-                                                        key)
-            elif key in _SYNTH_FLOAT_KEYS:
-                synth_kwargs[key] = _convert(float, raw, "synth", key)
-            elif key == "seed":
-                synth_kwargs["seed"] = _convert(int, raw, "synth", key)
-            else:
-                raise ConfigError(f"unknown [synth] key {key!r}")
-        for section in data:
-            if section not in ("data", "train", "run"):
+        for section, values in load_config_file(file_path).items():
+            if section not in ("synth", "data", "train", "run"):
                 raise ConfigError(f"unknown config section [{section}]")
-        for section, pairs in data.items():
-            _apply_overrides(cfg, pairs, section)
-
-    if overrides:
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-        for key in _SYNTH_FLOAT_KEYS:
-            if key in overrides:
-                synth_kwargs[key] = _convert(float, overrides.pop(key), None,
-                                             key)
-        _apply_overrides(cfg, overrides)
-
-    synth_kwargs.setdefault("seed", cfg.seed)
-    cfg.synth = SynthConfig(counts=counts, shifts=shifts, **synth_kwargs)
-    cfg.validate()
-    return cfg
-
-
-_SYNTH_FLOAT_KEYS = ("prevalence", "missingness", "signal_amp",
-                     "signal_lead", "signal_base", "onset_bias", "amp_jitter",
-                     "slow_frac", "slow_level", "sign_flip_p", "noise_scale",
-                     "ar_rho")
-_INT_KEYS = {"rounds", "local_epochs", "folds", "batch_size", "seed", "patience",
-             "lstm_units", "lstm_layers", "dense_units"}
-_FLOAT_KEYS = {"learning_rate", "threshold", "min_delta", "val_fraction",
-               "test_fraction", "dropout"}
-_BOOL_KEYS = {"time_channel"}
-_STR_KEYS = {"data_dir", "out_dir", "pos_weight", "dtype"}
-
-
-def _apply_overrides(cfg: ExperimentConfig, values: dict,
-                     section: str | None = None) -> None:
-    """Set ``values`` on ``cfg``; ``section`` names the config-file section
-    they come from (None for overrides) in error messages."""
-    for key, raw in values.items():
-        if key in _INT_KEYS:
-            setattr(cfg, key, _convert(int, raw, section, key))
-        elif key in _FLOAT_KEYS:
-            setattr(cfg, key, _convert(float, raw, section, key))
-        elif key in _BOOL_KEYS:
-            setattr(cfg, key, raw if isinstance(raw, bool)
-                    else _convert(_parse_bool, raw, section, key))
-        elif key in _STR_KEYS:
-            setattr(cfg, key, str(raw))
-        elif key == "settings":
-            if isinstance(raw, str):
-                raw = tuple(s.strip() for s in raw.split(",") if s.strip())
-            cfg.settings = tuple(raw)
-        elif key == "fixed_horizons":
-            if isinstance(raw, str):
-                raw = [s for s in raw.split(",") if s.strip()]
-            cfg.fixed_horizons = tuple(_convert(int, h, section, key)
-                                       for h in raw)
+            pairs += [(section, key, raw) for key, raw in values.items()]
+    pairs += [(None, key, raw) for key, raw in (overrides or {}).items()
+              if raw is not None]
+    for section, key, raw in pairs:
+        if section == "synth" and key.startswith(("counts.", "shift.")):
+            # one entry of a dict field, typed like the field's defaults
+            prefix, icu = key.split(".", 1)
+            entries = synth["counts" if prefix == "counts" else "shifts"]
+            kind = type(next(iter(entries.values()))).__name__
+            entries[icu] = _value(kind, raw, section, key)
+        elif key in RUN_KEYS and section != "synth":
+            setattr(cfg, key, _value(RUN_KEYS[key], raw, section, key))
+        elif key in SYNTH_KEYS and section in ("synth", None):
+            synth[key] = _value(SYNTH_KEYS[key], raw, section, key)
+        elif section == "synth":
+            raise ConfigError(f"unknown [synth] key {key!r}")
         else:
             raise ConfigError(f"unknown config key {key!r}")
+
+    synth.setdefault("seed", cfg.seed)
+    cfg.synth = SynthConfig(**synth)
+    cfg.validate()
+    return cfg
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -227,7 +219,10 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
+    """Hash of the serialized config with ``data_dir`` and ``out_dir``
+    blanked: where the files live is not part of the experiment."""
+    text = serialize_config(replace(cfg, data_dir="", out_dir=""))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def persist_config(cfg: ExperimentConfig, out_dir: str) -> str:

@@ -137,13 +137,6 @@ def prepare_fold(partition: CohortPartition, fold: int, cfg: ExperimentConfig):
     return clients, test_sets
 
 
-def _model_config(cfg: ExperimentConfig, n_features: int) -> nn.ModelConfig:
-    return nn.ModelConfig(
-        n_features=n_features, lstm_units=cfg.lstm_units,
-        lstm_layers=cfg.lstm_layers, dense_units=cfg.dense_units,
-        dropout=cfg.dropout, seed=cfg.seed, dtype=cfg.dtype)
-
-
 def _window_metrics(probs, y, horizons, threshold):
     counts = confusion(probs, y, threshold)
     metrics = {"f1": f1(counts)}
@@ -228,7 +221,7 @@ def run_fold(partition: CohortPartition, fold: int, cfg: ExperimentConfig,
             f"settings = {','.join(cfg.settings)}: the fixed-window suite "
             f"needs the 'federated' setting it compares against")
     clients, test_sets = prepare_fold(partition, fold, cfg)
-    model_config = _model_config(cfg, clients[0].X_train.shape[-1])
+    model_config = cfg.model_config(clients[0].X_train.shape[-1])
     train_kwargs = dict(
         seed=nn_seed_for_fold(cfg.seed, fold), rounds=cfg.rounds,
         local_epochs=cfg.local_epochs, batch_size=cfg.batch_size,

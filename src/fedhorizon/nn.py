@@ -46,9 +46,9 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
-        if min(self.n_features, self.lstm_units, self.lstm_layers,
-               self.dense_units) < 1:
-            raise ModelError("all size fields must be positive")
+        for name in ("n_features", "lstm_units", "lstm_layers", "dense_units"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be >= 1")
         if not (0.0 <= self.dropout < 1.0):
             raise ModelError(f"dropout {self.dropout} outside [0, 1)")
         if self.dtype not in ("float64", "float32"):

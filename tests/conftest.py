@@ -32,6 +32,28 @@ def window_set(X):
                      np.arange(len(X)) * INPUT_WINDOW, time_channel=False)
 
 
+def config_text(value) -> str:
+    """A config value as config text: a tuple as a comma list."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def other_value(defaults, key) -> str:
+    """A valid value of config key ``key`` other than its default on
+    ``defaults`` (an ``ExperimentConfig`` or ``SynthConfig``), as text."""
+    value = getattr(defaults, key)
+    if isinstance(value, bool):
+        return str(not value)
+    if isinstance(value, int):
+        return str(value + 1)
+    if isinstance(value, float):
+        return str(value / 2 or 0.5)
+    if isinstance(value, tuple):
+        return config_text(value[::-1][:2])
+    return {"pos_weight": "auto", "dtype": "float32"}.get(key, "elsewhere")
+
+
 def make_stay(stay_id="s1", patient_id=None, icu="MICU", stay_index=1,
               los=45.0, onset=None, fill=0.0, imputed=True, n_features=26):
     grid = np.full((N_HOURS, n_features), fill, dtype=float)

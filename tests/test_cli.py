@@ -2,8 +2,11 @@ import json
 import os
 
 import pytest
+from conftest import config_text, other_value
 
-from fedhorizon.cli import build_parser, main
+from fedhorizon.cli import _resolve, build_parser, main
+from fedhorizon.config import RUN_KEYS, SYNTH_KEYS, ExperimentConfig
+from fedhorizon.synthgen import SynthConfig
 
 TINY_CFG = """\
 [run]
@@ -57,6 +60,25 @@ class TestParser:
     def test_seed_parsed_as_int(self):
         args = build_parser().parse_args(["run", "--seed", "7"])
         assert args.seed == 7
+
+    def test_help_names_every_key(self):
+        text = " ".join(build_parser().format_help().split())
+        for key in list(RUN_KEYS) + list(SYNTH_KEYS):
+            assert f"{key} (" in text, key
+
+    @pytest.mark.parametrize("command", ["synth", "run", "compare-fixed"])
+    def test_every_flag_reaches_the_config(self, command):
+        """Every flag's ``dest`` is a key, and ``_resolve`` passes it on."""
+        args = build_parser().parse_args([command])
+        keys = set(vars(args)) - {"command", "func", "config"}
+        assert keys <= set(RUN_KEYS) | set(SYNTH_KEYS)
+        for key in keys:
+            defaults = ExperimentConfig() if key in RUN_KEYS else SynthConfig()
+            setattr(args, key, other_value(defaults, key))
+        cfg = _resolve(args)
+        for key in keys:
+            target = cfg if key in RUN_KEYS else cfg.synth
+            assert config_text(getattr(target, key)) == getattr(args, key)
 
 
 class TestSynth:
@@ -131,6 +153,18 @@ class TestRunAndReport:
         assert rc == 0
         out = capsys.readouterr().out
         assert "F1" in out and "federated" in out
+
+    def test_hash_ignores_out_dir(self, tmp_path, tiny_cfg_path,
+                                  tiny_dataset):
+        hashes = set()
+        for name in ("out_a", "out_b"):
+            out_dir = str(tmp_path / name)
+            assert main(["run", "--config", tiny_cfg_path, "--settings",
+                         "local", "--data-dir", tiny_dataset,
+                         "--out", out_dir]) == 0
+            with open(os.path.join(out_dir, "metrics.json")) as fh:
+                hashes.add(json.load(fh)["config_hash"])
+        assert len(hashes) == 1
 
     def test_compare_fixed_end_to_end(self, tmp_path, tiny_cfg_path,
                                       tiny_dataset, capsys):

@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
+from conftest import config_text, other_value
 
 from fedhorizon.config import (
-    ConfigError, ExperimentConfig, config_hash, load_config_file,
-    persist_config, resolve_config, serialize_config,
+    RUN_KEYS, SYNTH_KEYS, ConfigError, ExperimentConfig, config_hash,
+    load_config_file, persist_config, resolve_config, serialize_config,
 )
+from fedhorizon.synthgen import SynthConfig
 
 
 class TestDefaults:
@@ -52,6 +56,63 @@ class TestValidation:
         assert cfg.client_pos_weight is None
         fixed = resolve_config(overrides={"pos_weight": "2.5"})
         assert fixed.client_pos_weight == 2.5
+
+
+class TestRejectedValues:
+    """Values that cannot train fail in resolve_config, naming the key,
+    not after the dataset is loaded."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 1), ("batch_size", 0), ("patience", 0),
+        ("val_fraction", 0.0), ("val_fraction", 1.0),
+        ("test_fraction", 0.0), ("test_fraction", 1.5),
+        ("learning_rate", 0.0), ("learning_rate", -1e-3),
+        ("min_delta", -1e-4), ("dropout", 1.5), ("dropout", -0.1),
+        ("lstm_units", 0), ("lstm_layers", 0), ("dense_units", 0),
+    ])
+    def test_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            resolve_config(overrides={key: value})
+
+
+def _read_back(target, key, value, kind):
+    """``target.key`` is ``value`` (config text), of annotation ``kind``;
+    a tuple's items are of its default's item type."""
+    got = getattr(target, key)
+    assert type(got).__name__ == kind
+    if kind == "tuple":
+        default = getattr(ExperimentConfig, key)
+        assert {type(v) for v in got} == {type(default[0])}
+    assert config_text(got) == value
+
+
+class TestEveryKey:
+    """Every dataclass field is a key, read with its field's type from a
+    config file and from an override."""
+
+    @pytest.mark.parametrize("key", sorted(RUN_KEYS))
+    def test_run_key(self, tmp_path, key):
+        value = other_value(ExperimentConfig(), key)
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[run]\n{key} = {value}\n")
+        for cfg in (resolve_config(str(path)),
+                    resolve_config(overrides={key: value})):
+            _read_back(cfg, key, value, RUN_KEYS[key])
+
+    @pytest.mark.parametrize("key", sorted(SYNTH_KEYS))
+    def test_synth_key(self, tmp_path, key):
+        value = other_value(SynthConfig(), key)
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[synth]\n{key} = {value}\n")
+        for cfg in (resolve_config(str(path)),
+                    resolve_config(overrides={key: value})):
+            _read_back(cfg.synth, key, value, SYNTH_KEYS[key])
+
+    def test_tables_are_the_fields(self):
+        run = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        synth = {f.name for f in dataclasses.fields(SynthConfig)}
+        assert set(RUN_KEYS) == run - {"synth"}
+        assert set(SYNTH_KEYS) == synth - {"counts", "shifts"}
 
 
 class TestFileAndOverrides:
@@ -168,6 +229,12 @@ class TestSerialization:
     def test_hash_stable(self):
         assert config_hash(resolve_config()) == config_hash(resolve_config())
         assert len(config_hash(resolve_config())) == 16
+
+    def test_hash_ignores_paths(self):
+        a = resolve_config(overrides={"out_dir": "a", "data_dir": "x"})
+        b = resolve_config(overrides={"out_dir": "b", "data_dir": "y"})
+        assert serialize_config(a) != serialize_config(b)
+        assert config_hash(a) == config_hash(b)
 
     def test_hash_sensitive_to_values(self):
         a = resolve_config()
