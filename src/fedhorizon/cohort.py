@@ -50,7 +50,6 @@ class CohortPartition:
     stays_by_icu: dict[str, list[PatientStay]]
     # icu -> patient_id -> fold index, populated by make_splits
     folds: dict[str, dict[str, int]] = field(default_factory=dict)
-    n_folds: int = 0
 
     @property
     def icus(self) -> list[str]:
@@ -502,7 +501,6 @@ def make_splits(
         schema=partition.schema,
         stays_by_icu=partition.stays_by_icu,
         folds=folds,
-        n_folds=n_folds,
     )
 
 

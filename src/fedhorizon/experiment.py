@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -229,7 +229,6 @@ def run_fold(partition: CohortPartition, fold: int, cfg: ExperimentConfig,
         min_delta=cfg.min_delta, threshold=cfg.threshold)
 
     models: dict = {}
-    raw_logs: dict = {}
     round_logs: dict = {}
     by_setting = federation.run_settings(cfg.settings, clients, model_config,
                                          **train_kwargs)
@@ -237,8 +236,7 @@ def run_fold(partition: CohortPartition, fold: int, cfg: ExperimentConfig,
         models[setting] = trained
         for label, entries in logs.items():
             key = label if setting != "local" else f"local/{label}"
-            raw_logs[key] = entries
-            round_logs[key] = [log.to_json_obj() for log in entries]
+            round_logs[key] = [asdict(log) for log in entries]
 
     result = FoldResult(fold=fold, report=evaluate_fold(models, test_sets, cfg),
                         round_logs=round_logs)
@@ -246,8 +244,9 @@ def run_fold(partition: CohortPartition, fold: int, cfg: ExperimentConfig,
     if include_fixed:
         if not cfg.fixed_horizons:
             raise federation.FederationError("empty fixed-horizon list")
+        _, federated_logs = by_setting["federated"]
         variable_rounds = federation.convergence_rounds(
-            raw_logs["federated"], cfg.patience, cfg.min_delta)
+            federated_logs["federated"], cfg.patience)
         fixed_models, fixed_logs = federation.run_fixed_window_suite(
             clients, list(cfg.fixed_horizons), model_config, **train_kwargs)
         fixed: dict = {}
@@ -262,26 +261,23 @@ def run_fold(partition: CohortPartition, fold: int, cfg: ExperimentConfig,
                     continue
                 probs_fixed = fixed_models[horizon].predict_proba(test.X[sel])
                 f1_fixed = f1(confusion(probs_fixed, test.y[sel], cfg.threshold))
-                f1_var = result.report[("federated", icu)].get(f"f1_h{horizon}")
-                if f1_var is not None:
-                    deltas[icu] = f1_fixed - f1_var
+                f1_var = result.report[("federated", icu)][f"f1_h{horizon}"]
+                deltas[icu] = f1_fixed - f1_var
                 over_probs.append(probs_fixed)
                 over_y.append(test.y[sel])
-            probs_all = np.concatenate(over_probs)
-            y_all = np.concatenate(over_y)
-            f1_fixed_all = f1(confusion(probs_all, y_all, cfg.threshold))
-            f1_var_all = result.report[("federated", "overall")].get(
-                f"f1_h{horizon}")
-            deltas["overall"] = (f1_fixed_all - f1_var_all
-                                 if f1_var_all is not None else None)
+            f1_fixed_all = f1(confusion(np.concatenate(over_probs),
+                                        np.concatenate(over_y), cfg.threshold))
+            f1_var_all = result.report[("federated", "overall")][
+                f"f1_h{horizon}"]
+            deltas["overall"] = f1_fixed_all - f1_var_all
             fixed[horizon] = {
                 "deltas": deltas,
                 "rounds": federation.convergence_rounds(
-                    fixed_logs[horizon], cfg.patience, cfg.min_delta),
+                    fixed_logs[horizon], cfg.patience),
                 "variable_rounds": variable_rounds,
             }
             round_logs[f"fixed_{horizon}h"] = [
-                log.to_json_obj() for log in fixed_logs[horizon]]
+                asdict(log) for log in fixed_logs[horizon]]
         result.fixed = fixed
     return result
 
@@ -428,8 +424,7 @@ def emit_reports(result: RunResult, out_dir: str) -> dict[str, str]:
                     rounds_fixed.append(payload["rounds"])
                     rounds_var.append(payload["variable_rounds"])
                     for icu, delta in payload["deltas"].items():
-                        if delta is not None:
-                            per_icu.setdefault(icu, []).append(delta)
+                        per_icu.setdefault(icu, []).append(delta)
                 for icu in sorted(per_icu):
                     w.writerow([horizon, icu,
                                 float(np.mean(per_icu[icu])),

@@ -19,6 +19,12 @@ in eval mode. Aggregation stays in the calling process, in client order, so
 pooled and in-process runs are bit-identical. The one-client trainings of
 the Local and Central settings are independent of each other, so they go
 through the same executor, one training per task.
+
+Early stopping is decided once, in ``run_federated``'s round loop, on the
+F1 of the clients' validation windows joined once per federation:
+``RoundLog.converged`` marks the rounds after ``patience`` rounds without
+an improvement of more than ``min_delta``, and ``convergence_rounds``
+reads the rounds to convergence from those logs.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn, pool
+from .config import VALID_SETTINGS
 from .metrics import confusion, f1
 from .schema import MAX_HORIZON
 from .windowing import WindowSet
@@ -88,11 +95,8 @@ class RoundLog:
     # icu_id -> mean train-mode loss (dropout on) over the last local epoch
     client_losses: dict = field(default_factory=dict)
     val_f1: float = 0.0
+    # set once `patience` rounds in a row have not improved the best F1
     converged: bool = False
-
-    def to_json_obj(self) -> dict:
-        return {"round": self.round, "client_losses": self.client_losses,
-                "val_f1": self.val_f1, "converged": self.converged}
 
 
 def fedavg_aggregate(updates: list[tuple[np.ndarray, float]]) -> np.ndarray:
@@ -176,37 +180,12 @@ def run_round(global_model: nn.Model, clients: list[ClientState],
     return new_model, log
 
 
-def validation_f1(model: nn.Model, clients: list[ClientState],
+def validation_f1(model: nn.Model, X: WindowSet, y: np.ndarray,
                   threshold: float = 0.5) -> float:
-    """F1 of ``model`` on the clients' validation windows, scored as one
-    set in client order."""
-    X = WindowSet.concatenate([c.X_val for c in clients])
-    y = np.concatenate([c.y_val for c in clients])
+    """F1 of ``model`` on the validation windows ``X`` with labels ``y``."""
     if len(X) == 0:
         return 0.0
-    probs = model.predict_proba(X)
-    return f1(confusion(probs, y, threshold))
-
-
-def check_convergence(logs, patience: int, min_delta: float = 1e-4):
-    """First (1-based) round whose validation F1 is never improved upon by
-    more than min_delta for `patience` consecutive rounds; None otherwise."""
-    if patience < 1:
-        raise FederationError("patience must be >= 1")
-    f1s = [log.val_f1 if isinstance(log, RoundLog) else float(log) for log in logs]
-    best = -np.inf
-    best_round = None
-    streak = 0
-    for round_index, value in enumerate(f1s, start=1):
-        if value > best + min_delta:
-            best = value
-            best_round = round_index
-            streak = 0
-        else:
-            streak += 1
-            if streak >= patience:
-                return best_round
-    return None
+    return f1(confusion(model.predict_proba(X), y, threshold))
 
 
 def run_federated(clients: list[ClientState], model_config: nn.ModelConfig,
@@ -217,10 +196,14 @@ def run_federated(clients: list[ClientState], model_config: nn.ModelConfig,
                   ) -> tuple[nn.Model, list[RoundLog]]:
     """Full federated training loop with convergence-based early stop.
 
-    With ``early_stop`` enabled the returned model is the snapshot from
-    the last round whose validation F1 improved by more than
-    ``min_delta`` (the round check_convergence reports), not the final
-    round; with ``early_stop=False`` the final-round model is returned.
+    After each round the model is scored on the clients' validation
+    windows, joined once in client order. A round improves when its F1
+    exceeds the best so far by more than ``min_delta``; once ``patience``
+    rounds in a row have not improved, that round's log and every later
+    one read ``converged``. With ``early_stop`` the loop stops there and
+    returns the model of the best round, also when the budget runs out
+    first; with ``early_stop=False`` every round runs and the final
+    round's model is returned.
 
     The clients train through a ``pool.executor``: in a fork pool of
     ``pool.worker_count`` processes, closed before this returns or
@@ -228,29 +211,34 @@ def run_federated(clients: list[ClientState], model_config: nn.ModelConfig,
     """
     if not clients:
         raise FederationError("no clients")
+    if patience < 1:
+        raise FederationError("patience must be >= 1")
     for c in clients:
         if c.n_k == 0:
             raise FederationError(f"client {c.icu_id} has an empty training split")
-    model = nn.Model(model_config)
+    val = _join(clients, _VAL_ARRAYS)
+    model = best_model = nn.Model(model_config)
     logs: list[RoundLog] = []
     best_f1 = -np.inf
-    snapshot = None
+    streak = 0  # rounds since the best one
+    converged = False
     with pool.executor(_client_task, clients, len(clients)) as map_jobs:
         for round_index in range(1, rounds + 1):
             model, log = run_round(model, clients, round_index, seed,
                                    local_epochs=local_epochs,
                                    batch_size=batch_size, lr=lr,
                                    map_jobs=map_jobs)
-            log.val_f1 = validation_f1(model, clients, threshold)
-            if early_stop and log.val_f1 > best_f1 + min_delta:
-                best_f1 = log.val_f1
-                snapshot = model  # run_round builds a new model each round
-            converged_at = check_convergence(logs + [log], patience, min_delta)
-            log.converged = converged_at is not None
+            log.val_f1 = validation_f1(model, val["X_val"], val["y_val"],
+                                       threshold)
+            if log.val_f1 > best_f1 + min_delta:
+                best_f1, best_model, streak = log.val_f1, model, 0
+            else:
+                streak += 1
+            converged = log.converged = converged or streak >= patience
             logs.append(log)
-            if early_stop and log.converged:
+            if early_stop and converged:
                 break
-    return (model if snapshot is None else snapshot), logs
+    return (best_model if early_stop else model), logs
 
 
 def pool_clients(clients: list[ClientState]) -> ClientState:
@@ -311,7 +299,7 @@ def run_settings(settings, clients: list[ClientState],
     Federated then trains its clients on its own per-round pool.
     """
     for setting in settings:
-        if setting not in ("local", "federated", "central"):
+        if setting not in VALID_SETTINGS:
             raise FederationError(f"unknown setting {setting!r}")
     solo = []  # (setting, name, client)
     if "local" in settings:
@@ -333,11 +321,13 @@ def run_settings(settings, clients: list[ClientState],
     return out
 
 
-def convergence_rounds(logs: list[RoundLog], patience: int,
-                       min_delta: float = 1e-4) -> int:
-    """Rounds to convergence; the full budget if never converged."""
-    converged = check_convergence(logs, patience, min_delta)
-    return converged if converged is not None else len(logs)
+def convergence_rounds(logs: list[RoundLog], patience: int) -> int:
+    """Rounds to convergence: the best round of a converged run, the first
+    converged round less ``patience``; the rounds run if none converged."""
+    for log in logs:
+        if log.converged:
+            return log.round - patience
+    return len(logs)
 
 
 def filter_client_horizon(client: ClientState, horizon: int) -> ClientState:

@@ -152,7 +152,6 @@ def per_horizon_f1(probs, labels, horizons, threshold: float = 0.5
 class MetricReport:
     """Mean/sd across folds for every (setting, icu) cell."""
 
-    n_folds: int
     mean: dict = field(default_factory=dict)  # key -> metric -> value
     sd: dict = field(default_factory=dict)
 
@@ -169,7 +168,7 @@ def aggregate_folds(per_fold: list[dict]) -> MetricReport:
     for r in per_fold[1:]:
         if set(r) != keys:
             raise MetricError("fold shape mismatch: differing cell keys")
-    report = MetricReport(n_folds=len(per_fold))
+    report = MetricReport()
     for key in keys:
         metric_names = set().union(*(r[key].keys() for r in per_fold))
         report.mean[key] = {}

@@ -111,9 +111,6 @@ class FeatureSchema:
         except KeyError:
             raise SchemaError(f"unknown feature name {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     def __getitem__(self, name: str) -> FeatureSpec:
         return self.features[self.index(name)]
 

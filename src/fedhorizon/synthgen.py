@@ -130,6 +130,14 @@ class SynthConfig:
         if not (0.0 <= self.sign_flip_p <= 1.0):
             raise SynthError(
                 f"sign_flip_p {self.sign_flip_p} outside [0, 1]")
+        if not (-1.0 <= self.ar_rho <= 1.0):
+            raise SynthError(f"ar_rho {self.ar_rho} outside [-1, 1]")
+        if self.noise_scale < 0:
+            raise SynthError(
+                f"noise_scale {self.noise_scale} must be non-negative")
+        if self.signal_amp < 0:
+            raise SynthError(
+                f"signal_amp {self.signal_amp} must be non-negative")
 
 
 def signal_drift(hour, onset, lead: float):

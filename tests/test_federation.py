@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from fedhorizon import federation, nn, pool
 from fedhorizon.federation import (
-    ClientState, FederationError, RoundLog, check_convergence, client_seed,
-    convergence_rounds, fedavg_aggregate, filter_client_horizon, pool_clients,
+    ClientState, FederationError, client_seed, convergence_rounds,
+    fedavg_aggregate, filter_client_horizon, pool_clients,
     run_federated, run_fixed_window_suite, run_round, run_settings,
 )
 
@@ -93,38 +93,52 @@ class TestClientSeed:
         assert client_seed(42, 3, 8) != base
 
 
-class TestCheckConvergence:
-    def test_reference_trace(self):
-        # improvement at round 2, then a 3-round plateau
-        assert check_convergence([0.5, 0.6, 0.6, 0.6, 0.6], patience=3) == 2
+class TestStoppingRule:
+    """``run_federated``'s early stopping on a scripted validation F1
+    trace, one value per round."""
 
-    def test_still_improving(self):
-        assert check_convergence([0.1, 0.2, 0.3, 0.4], patience=3) is None
+    @pytest.mark.parametrize(
+        "trace, kwargs, converged, returned, to_convergence", [
+            # improvement at round 2, then a 3-round plateau
+            ([0.5, 0.6, 0.6, 0.6, 0.6], dict(rounds=8),
+             [False] * 4 + [True], 2, 2),
+            # still improving when the budget runs out
+            ([0.1, 0.2, 0.3, 0.4], dict(rounds=4), [False] * 4, 4, 4),
+            # increases below min_delta do not reset the streak
+            ([0.5, 0.5 + 5e-5, 0.5 + 8e-5, 0.5 + 9e-5],
+             dict(rounds=6, min_delta=1e-4), [False] * 3 + [True], 1, 1),
+            # the plateau must span `patience` rounds beyond the best one
+            ([0.5] * 3, dict(rounds=3), [False] * 3, 1, 3),
+            ([0.5] * 4, dict(rounds=6), [False] * 3 + [True], 1, 1),
+            # without early stop, converged stays set through a later
+            # improvement, every round runs and the final model returns
+            ([0.5, 0.5, 0.5, 0.5, 0.7, 0.7], dict(rounds=6, early_stop=False),
+             [False] * 3 + [True] * 3, 6, 1),
+        ], ids=["plateau", "improving", "below-min-delta", "short-plateau",
+                "patience-plateau", "no-early-stop"])
+    def test_trace(self, monkeypatch, trace, kwargs, converged, returned,
+                   to_convergence):
+        scored = []  # the vectors of each round's model
 
-    def test_tiny_improvements_do_not_reset(self):
-        trace = [0.5, 0.5 + 5e-5, 0.5 + 8e-5, 0.5 + 9e-5]
-        assert check_convergence(trace, patience=3, min_delta=1e-4) == 1
+        def scripted_f1(model, X, y, threshold):
+            scored.append((model.vector.copy(), model.buffer_vector.copy()))
+            return trace[len(scored) - 1]
 
-    def test_patience_boundary(self):
-        # the plateau must span `patience` rounds beyond the improvement
-        assert check_convergence([0.5, 0.5, 0.5, 0.5], patience=3) == 1
-        assert check_convergence([0.5, 0.5, 0.5], patience=3) is None
-
-    def test_accepts_round_logs(self):
-        logs = [RoundLog(round=i + 1, val_f1=v)
-                for i, v in enumerate([0.4, 0.7, 0.7, 0.7, 0.7])]
-        assert check_convergence(logs, patience=3) == 2
+        monkeypatch.setattr(federation, "validation_f1", scripted_f1)
+        model, logs = run_federated([make_client(0, n=8, n_val=2)],
+                                    MODEL_CONFIG, seed=5, local_epochs=1,
+                                    patience=3, **kwargs)
+        assert [log.round for log in logs] == list(range(1, len(converged) + 1))
+        assert [log.converged for log in logs] == converged
+        params, buffers = scored[returned - 1]
+        assert np.array_equal(model.vector, params)
+        assert np.array_equal(model.buffer_vector, buffers)
+        assert convergence_rounds(logs, patience=3) == to_convergence
 
     def test_bad_patience(self):
-        with pytest.raises(FederationError):
-            check_convergence([0.5], patience=0)
-
-
-def test_convergence_rounds_falls_back_to_budget():
-    logs = [RoundLog(round=i + 1, val_f1=0.1 * (i + 1)) for i in range(4)]
-    assert convergence_rounds(logs, patience=3) == 4
-    flat = [RoundLog(round=i + 1, val_f1=0.5) for i in range(5)]
-    assert convergence_rounds(flat, patience=3) == 1
+        with pytest.raises(FederationError, match="patience must be >= 1"):
+            run_federated([make_client(0, n=8, n_val=2)], MODEL_CONFIG,
+                          seed=5, rounds=1, patience=0)
 
 
 class TestRunRound:

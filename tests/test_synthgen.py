@@ -62,6 +62,13 @@ class TestConfigValidation:
         with pytest.raises(SynthError):
             SynthConfig(counts={"MICU": 0}).validate()
 
+    @pytest.mark.parametrize("key, value", [
+        ("ar_rho", 5.0), ("ar_rho", -1.5), ("ar_rho", float("nan")),
+        ("noise_scale", -0.1), ("signal_amp", -1.0)])
+    def test_bad_noise_and_signal(self, key, value):
+        with pytest.raises(SynthError, match=key):
+            SynthConfig(**{key: value}).validate()
+
 
 class TestGenerateCohort:
     def test_counts_match_config(self):
