@@ -58,9 +58,6 @@ class CohortPartition:
     def all_stays(self) -> list[PatientStay]:
         return [s for stays in self.stays_by_icu.values() for s in stays]
 
-    def n_patients(self) -> int:
-        return len(self.all_stays())
-
     def train_test_stays(self, icu: str, fold: int):
         """Stays of one ICU split by fold membership (test = the fold)."""
         if not self.folds:

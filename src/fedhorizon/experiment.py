@@ -2,6 +2,10 @@
 evaluation setting, metric computation, fold aggregation, and report file
 emission.
 
+Each client split and each ICU's test split is one labelled
+``windowing.WindowSet``: the fixed-window suite selects its horizon from
+the set, and FIR/EDA read each window's stay and end hour from it.
+
 All fold-level randomness derives from (seed, fold). Folds run in order;
 within a fold, federation trains the clients of a FedAvg round, and the
 local and central trainings side by side, in worker processes, one per
@@ -32,12 +36,13 @@ from .schema import ICU_NAMES, MAX_HORIZON
 @dataclass
 class TestSet:
     icu_id: str
-    X: windowing.WindowSet  # gathered by the chunk in scoring
-    y: np.ndarray
-    horizons: np.ndarray
-    window_ends: np.ndarray
-    patient_ids: np.ndarray  # per window
+    X: windowing.WindowSet  # labelled, gathered by the chunk in scoring
+    patient_ids: np.ndarray  # per test stay, indexed by X.source
     septic_patients: list  # patient ids with sepsis onset in the test split
+
+    # the windows' labels and horizons, by the names perfbench reads
+    y = property(lambda self: self.X.y)
+    horizons = property(lambda self: self.X.horizons)
 
 
 @dataclass
@@ -117,18 +122,15 @@ def prepare_fold(partition: CohortPartition, fold: int, cfg: ExperimentConfig):
         va = windowing.cut_windows(train_grids[val], train_onsets[val],
                                    cfg.time_channel)
         clients.append(federation.ClientState(
-            icu_id=icu, index=icu_index,
-            X_train=tr.X, y_train=tr.y, h_train=tr.horizons,
-            X_val=va.X, y_val=va.y, h_val=va.horizons,
+            icu_id=icu, index=icu_index, X_train=tr, X_val=va,
             pos_weight=cfg.client_pos_weight,
         ))
         te = windowing.cut_windows(test_grids,
                                    windowing.stay_onsets(test_stays),
                                    cfg.time_channel)
-        patient_ids = np.array([s.patient_id for s in test_stays])
         test_sets[icu] = TestSet(
-            icu_id=icu, X=te.X, y=te.y, horizons=te.horizons,
-            window_ends=te.ends, patient_ids=patient_ids[te.source],
+            icu_id=icu, X=te,
+            patient_ids=np.array([s.patient_id for s in test_stays]),
             septic_patients=sorted({s.patient_id for s in test_stays
                                     if s.septic}),
         )
@@ -151,10 +153,12 @@ def _window_metrics(probs, y, horizons, threshold):
 
 def _detections(test: TestSet, probs, threshold):
     """Earliest positive window end per septic test patient (None = missed)."""
+    patient_ids = test.patient_ids[test.X.source]
+    ends = test.X.ends
     out = {}
     for pid in test.septic_patients:
-        sel = test.patient_ids == pid
-        out[pid] = earliest_detection(test.window_ends[sel], probs[sel], threshold)
+        sel = patient_ids == pid
+        out[pid] = earliest_detection(ends[sel], probs[sel], threshold)
     return out
 
 
@@ -189,10 +193,10 @@ def evaluate_fold(models: dict, test_sets: dict[str, TestSet],
             probs = model.predict_proba(test.X)
             probs_cache[(setting, icu)] = probs
             report[(setting, icu)] = _window_metrics(
-                probs, test.y, test.horizons, threshold)
+                probs, test.X.y, test.X.horizons, threshold)
             overall_probs.append(probs)
-            overall_y.append(test.y)
-            overall_h.append(test.horizons)
+            overall_y.append(test.X.y)
+            overall_h.append(test.X.horizons)
         report[(setting, "overall")] = _window_metrics(
             np.concatenate(overall_probs), np.concatenate(overall_y),
             np.concatenate(overall_h), threshold)
@@ -255,16 +259,16 @@ def run_fold(partition: CohortPartition, fold: int, cfg: ExperimentConfig,
             deltas = {}
             over_probs, over_y = [], []
             for icu in icus:
-                test = test_sets[icu]
-                sel = test.horizons == horizon
+                sel = test_sets[icu].X.horizons == horizon
                 if not sel.any():
                     continue
-                probs_fixed = fixed_models[horizon].predict_proba(test.X[sel])
-                f1_fixed = f1(confusion(probs_fixed, test.y[sel], cfg.threshold))
+                X = test_sets[icu].X.select(sel)
+                probs_fixed = fixed_models[horizon].predict_proba(X)
+                f1_fixed = f1(confusion(probs_fixed, X.y, cfg.threshold))
                 f1_var = result.report[("federated", icu)][f"f1_h{horizon}"]
                 deltas[icu] = f1_fixed - f1_var
                 over_probs.append(probs_fixed)
-                over_y.append(test.y[sel])
+                over_y.append(X.y)
             f1_fixed_all = f1(confusion(np.concatenate(over_probs),
                                         np.concatenate(over_y), cfg.threshold))
             f1_var_all = result.report[("federated", "overall")][

@@ -20,6 +20,10 @@ pooled and in-process runs are bit-identical. The one-client trainings of
 the Local and Central settings are independent of each other, so they go
 through the same executor, one training per task.
 
+A client holds two labelled ``windowing.WindowSet``s, its training and
+validation windows; pooling, horizon filtering and the validation join
+select and join those sets, so each window keeps its label and horizon.
+
 Early stopping is decided once, in ``run_federated``'s round loop, on the
 F1 of the clients' validation windows joined once per federation:
 ``RoundLog.converged`` marks the rounds after ``patience`` rounds without
@@ -48,18 +52,20 @@ class FederationError(ValueError):
 class ClientState:
     icu_id: str
     index: int  # stable client index used for seed derivation
-    X_train: WindowSet  # gathered by the batch in training
-    y_train: np.ndarray
-    h_train: np.ndarray  # per-sample prediction horizon
+    X_train: WindowSet  # labelled, gathered by the batch in training
     X_val: WindowSet
-    y_val: np.ndarray
-    h_val: np.ndarray
     pos_weight: float | None = 1.0  # None: auto, see loss_pos_weight
+
+    # each split's labels and horizons, by the names perfbench reads
+    y_train = property(lambda self: self.X_train.y)
+    h_train = property(lambda self: self.X_train.horizons)
+    y_val = property(lambda self: self.X_val.y)
+    h_val = property(lambda self: self.X_val.horizons)
 
     @property
     def n_k(self) -> int:
         """FedAvg weight: number of local training windows."""
-        return int(self.y_train.shape[0])
+        return len(self.X_train)
 
     @property
     def loss_pos_weight(self) -> float:
@@ -67,26 +73,8 @@ class ClientState:
         None (auto) N_neg / N_pos of this client's training labels."""
         if self.pos_weight is not None:
             return self.pos_weight
-        n_pos = int(self.y_train.sum())
+        n_pos = int(self.X_train.y.sum())
         return (self.n_k - n_pos) / max(n_pos, 1)
-
-
-_TRAIN_ARRAYS = ("X_train", "y_train", "h_train")
-_VAL_ARRAYS = ("X_val", "y_val", "h_val")
-
-
-def _take(client: ClientState, names, sel) -> dict:
-    """The windows, labels and horizons ``names`` of ``client`` at ``sel``."""
-    X, y, h = (getattr(client, name) for name in names)
-    return dict(zip(names, (X.select(sel), y[sel], h[sel])))
-
-
-def _join(clients: list[ClientState], names) -> dict:
-    """The windows, labels and horizons ``names`` of ``clients`` joined in
-    client order."""
-    X, y, h = zip(*([getattr(c, name) for name in names] for c in clients))
-    return dict(zip(names, (WindowSet.concatenate(X), np.concatenate(y),
-                            np.concatenate(h))))
 
 
 @dataclass
@@ -142,7 +130,7 @@ def _client_task(job, clients: list[ClientState]):
     local = nn.Model(config, params, buffers)
     try:
         _, loss = nn.train_epochs(
-            local, client.X_train, client.y_train,
+            local, client.X_train, client.X_train.y,
             epochs=local_epochs, batch_size=batch_size,
             seed=client_seed(seed, client.index, round_index),
             lr=lr, pos_weight=client.loss_pos_weight)
@@ -180,12 +168,12 @@ def run_round(global_model: nn.Model, clients: list[ClientState],
     return new_model, log
 
 
-def validation_f1(model: nn.Model, X: WindowSet, y: np.ndarray,
+def validation_f1(model: nn.Model, X: WindowSet,
                   threshold: float = 0.5) -> float:
-    """F1 of ``model`` on the validation windows ``X`` with labels ``y``."""
+    """F1 of ``model`` on the labelled validation windows ``X``."""
     if len(X) == 0:
         return 0.0
-    return f1(confusion(model.predict_proba(X), y, threshold))
+    return f1(confusion(model.predict_proba(X), X.y, threshold))
 
 
 def run_federated(clients: list[ClientState], model_config: nn.ModelConfig,
@@ -216,7 +204,7 @@ def run_federated(clients: list[ClientState], model_config: nn.ModelConfig,
     for c in clients:
         if c.n_k == 0:
             raise FederationError(f"client {c.icu_id} has an empty training split")
-    val = _join(clients, _VAL_ARRAYS)
+    val = WindowSet.concatenate([c.X_val for c in clients])
     model = best_model = nn.Model(model_config)
     logs: list[RoundLog] = []
     best_f1 = -np.inf
@@ -228,8 +216,7 @@ def run_federated(clients: list[ClientState], model_config: nn.ModelConfig,
                                    local_epochs=local_epochs,
                                    batch_size=batch_size, lr=lr,
                                    map_jobs=map_jobs)
-            log.val_f1 = validation_f1(model, val["X_val"], val["y_val"],
-                                       threshold)
+            log.val_f1 = validation_f1(model, val, threshold)
             if log.val_f1 > best_f1 + min_delta:
                 best_f1, best_model, streak = log.val_f1, model, 0
             else:
@@ -253,9 +240,10 @@ def pool_clients(clients: list[ClientState]) -> ClientState:
         raise FederationError("no clients to pool")
     if len(clients) == 1:
         return clients[0]
-    return replace(clients[0], icu_id="CENTRAL",
-                   **_join(clients, _TRAIN_ARRAYS),
-                   **_join(clients, _VAL_ARRAYS))
+    return replace(
+        clients[0], icu_id="CENTRAL",
+        X_train=WindowSet.concatenate([c.X_train for c in clients]),
+        X_val=WindowSet.concatenate([c.X_val for c in clients]))
 
 
 def _solo_task(position: int, shared: tuple):
@@ -336,13 +324,13 @@ def filter_client_horizon(client: ClientState, horizon: int) -> ClientState:
     (auto) weighs by the filtered labels."""
     if not (1 <= horizon <= MAX_HORIZON):
         raise FederationError(f"horizon {horizon} outside [1, {MAX_HORIZON}]")
-    sel_tr = client.h_train == horizon
+    sel_tr = client.X_train.horizons == horizon
     if not sel_tr.any():
         raise FederationError(
             f"client {client.icu_id} has no training samples at horizon {horizon}")
-    sel_val = client.h_val == horizon
-    val = _take(client, _VAL_ARRAYS, sel_val) if sel_val.any() else {}
-    return replace(client, **_take(client, _TRAIN_ARRAYS, sel_tr), **val)
+    sel_val = client.X_val.horizons == horizon
+    X_val = client.X_val.select(sel_val) if sel_val.any() else client.X_val
+    return replace(client, X_train=client.X_train.select(sel_tr), X_val=X_val)
 
 
 def run_fixed_window_suite(clients: list[ClientState], horizons: list[int],

@@ -27,7 +27,6 @@ class ConfusionCounts:
     fp: int
     fn: int
     tn: int
-    threshold: float = 0.5
 
     @property
     def total(self) -> int:
@@ -49,7 +48,6 @@ def confusion(probs, labels, threshold: float = 0.5) -> ConfusionCounts:
         fp=int(np.sum(pred & ~pos)),
         fn=int(np.sum(~pred & pos)),
         tn=int(np.sum(~pred & ~pos)),
-        threshold=threshold,
     )
 
 

@@ -453,7 +453,6 @@ def backward(params, state: ForwardState | None, labels,
 
     # attention (with residual): layer0 input = context + X
     d_attn_out = d_layer_out
-    dX = d_attn_out.copy()  # residual branch
     attn, q, k, v = state.attn, state.q, state.k, state.v
     dV = attn.transpose(0, 2, 1) @ d_attn_out
     dA = d_attn_out @ v.transpose(0, 2, 1)
@@ -465,7 +464,6 @@ def backward(params, state: ForwardState | None, labels,
     for name, d in (("q", dQ), ("k", dK), ("v", dV)):
         grads[f"attn_w{name}"][...] = X_rows.T @ d.reshape(-1, d.shape[-1])
         grads[f"attn_b{name}"][...] = d.sum(axis=(0, 1))
-    # dX itself is not needed: inputs are data, not parameters.
 
     return grad
 

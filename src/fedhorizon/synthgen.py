@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pool
-from .cohort import CohortPartition, PatientStay
+from .cohort import LABELS_HEADER, STATIC_HEADER, TIMESERIES_HEADER, \
+    CohortPartition, PatientStay
 from .schema import ICU_NAMES, N_HOURS, STATIC_FEATURES, default_schema
 
 # Table-derived per-ICU patient counts scaled to desk size (x0.1).
@@ -343,8 +344,7 @@ def export_csv(partition: CohortPartition, out_dir) -> dict[str, str]:
     stays = partition.all_stays()
     with open(paths["static"], "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["stay_id", "patient_id", "icu", "stay_index", "los_hours",
-                    "gender", "ethnicity", "age", "height", "weight", "diabetes"])
+        w.writerow(STATIC_HEADER)
         for s in stays:
             w.writerow([
                 s.stay_id, s.patient_id, s.icu_id, s.stay_index,
@@ -365,11 +365,11 @@ def export_csv(partition: CohortPartition, out_dir) -> dict[str, str]:
     with pool.executor(_timeseries_block, (stays, cols, middles),
                        len(blocks)) as map_jobs, \
             open(paths["timeseries"], "w", newline="") as fh:
-        fh.write("stay_id,hour_offset,feature,value\r\n")
+        fh.write(",".join(TIMESERIES_HEADER) + "\r\n")
         fh.writelines(map_jobs(blocks))
     with open(paths["labels"], "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["stay_id", "sepsis_onset_hour"])
+        w.writerow(LABELS_HEADER)
         for s in stays:
             onset = "" if s.sepsis_onset_hour is None else repr(s.sepsis_onset_hour)
             w.writerow([s.stay_id, onset])

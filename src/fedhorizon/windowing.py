@@ -5,17 +5,18 @@ labeled with whether sepsis onset occurs within the remaining prediction
 horizon (hours to the 30h deadline). Windows are cut from a whole (N, 30, F)
 stack of grids at once; ``make_windows`` is the one-stay wrapper.
 
-A cut keeps the stack's hour rows once, in a ``WindowSet``, with each
-window's first-row index; the (k, 6, F) windows of a batch are gathered
-from those rows only when the set is indexed. The windows overlap by five
-hours, so this holds each hour row once where a (M, 6, F) array of the
-windows would hold it up to six times.
+A cut is one ``WindowSet``: the stack's hour rows, kept once, with each
+window's first-row index and label. The (k, 6, F) windows of a batch are
+gathered from those rows only when the set is indexed. The windows overlap
+by five hours, so this holds each hour row once where a (M, 6, F) array of
+the windows would hold it up to six times. A window's start hour, horizon,
+last input hour and grid all follow from its first-row index, so this
+module is the only one that computes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,20 +30,26 @@ class WindowingError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class WindowSet:
-    """Windows as row indices into the rows of a stack of grids.
+    """Labelled windows as row indices into the rows of a stack of grids.
 
-    Window i is ``rows[first[i] : first[i] + 6]``. A grid's 30 rows are
-    consecutive, so a window starts at hour ``first[i] % 30``. With the
-    time channel, ``rows`` has one more column, all zeros, that a gather
-    fills with ``start / 24`` on all six rows of the window.
+    Window i is ``rows[first[i] : first[i] + 6]`` and ``y[i]`` is its
+    label. ``rows`` holds whole 30-row grids, one grid's hours in order:
+    ``cut_windows`` reshapes a stack and ``concatenate`` joins whole
+    stacks. So window i starts at hour ``first[i] % 30`` of grid
+    ``first[i] // 30``, which gives its ``horizons``, ``ends`` and
+    ``source``. With the time channel, ``rows`` has one more column, all
+    zeros, that a gather fills with ``start / 24`` on all six rows of the
+    window.
 
     Indexing with an int, a slice, an int array or a bool mask gathers the
     (6, C) window or the (k, 6, C) windows as a new C-contiguous array;
-    ``select`` and ``concatenate`` make sets that share or join the rows.
+    ``select`` and ``concatenate`` make sets that share or join the rows
+    and carry each window's label.
     """
 
     rows: np.ndarray  # (N * 30, C): C = F, or F + 1 with the time channel
     first: np.ndarray  # (M,) int, row index of each window's first hour
+    y: np.ndarray  # (M,) float, 1.0 iff the window's stay is septic
     time_channel: bool
 
     def __len__(self) -> int:
@@ -51,6 +58,21 @@ class WindowSet:
     @property
     def shape(self) -> tuple:
         return (len(self.first), INPUT_WINDOW, self.rows.shape[1])
+
+    @property
+    def horizons(self) -> np.ndarray:
+        """(M,) int, hours to the deadline: 25 - start."""
+        return MAX_HORIZON - self.first % N_HOURS
+
+    @property
+    def ends(self) -> np.ndarray:
+        """(M,) float, the last input hour: start + 5."""
+        return (self.first % N_HOURS + (INPUT_WINDOW - 1)).astype(np.float64)
+
+    @property
+    def source(self) -> np.ndarray:
+        """(M,) int, index of each window's grid in ``rows``."""
+        return self.first // N_HOURS
 
     def __getitem__(self, key) -> np.ndarray:
         first = self.first[key]
@@ -62,29 +84,22 @@ class WindowSet:
         return X
 
     def select(self, sel) -> WindowSet:
-        """The windows at ``sel`` (a slice, an int array or a bool mask),
-        on the same rows."""
-        return replace(self, first=self.first[sel])
+        """The windows and labels at ``sel`` (a slice, an int array or a
+        bool mask), on the same rows."""
+        return replace(self, first=self.first[sel], y=self.y[sel])
 
     @staticmethod
     def concatenate(sets) -> WindowSet:
-        """The windows of ``sets`` in order, on their rows joined into one
-        array; one set is returned as it is."""
+        """The windows and labels of ``sets`` in order, on their rows
+        joined into one array; one set is returned as it is."""
         if len(sets) == 1:
             return sets[0]
         offsets = np.cumsum([0] + [len(s.rows) for s in sets[:-1]])
         return WindowSet(
             np.concatenate([s.rows for s in sets]),
             np.concatenate([s.first + o for s, o in zip(sets, offsets)]),
+            np.concatenate([s.y for s in sets]),
             sets[0].time_channel)
-
-
-class Windows(NamedTuple):
-    X: WindowSet  # (M, 6, F), or (M, 6, F+1) with the time channel
-    y: np.ndarray  # (M,) float, 1.0 iff the source stay is septic
-    horizons: np.ndarray  # (M,) int, 25 - t
-    ends: np.ndarray  # (M,) float, last input hour t + 5
-    source: np.ndarray  # (M,) int, index of the window's grid in the stack
 
 
 @dataclass
@@ -98,7 +113,7 @@ class Sample:
 
 
 def cut_windows(grids: np.ndarray, onsets: np.ndarray,
-                time_channel: bool = True) -> Windows:
+                time_channel: bool = True) -> WindowSet:
     """Slide a 6h window over every imputed grid of a (N, 30, F) stack.
 
     ``onsets`` holds each stay's sepsis onset hour, inf for a stay without
@@ -108,9 +123,9 @@ def cut_windows(grids: np.ndarray, onsets: np.ndarray,
     25 windows with label 0, septic ones their kept windows with label 1,
     possibly none. Windows come in stack order, then by start hour.
 
-    ``X`` holds the stack's rows once and each kept window's first row;
-    no window is gathered here. The rows are a copy with the time
-    channel's column, or without the channel a view of a C-contiguous
+    The set holds the stack's rows once and each kept window's first row
+    and label; no window is gathered here. The rows are a copy with the
+    time channel's column, or without the channel a view of a C-contiguous
     stack.
     """
     n_stays, _, n_features = grids.shape
@@ -123,13 +138,9 @@ def cut_windows(grids: np.ndarray, onsets: np.ndarray,
     rows = grids.reshape(-1, n_features)
     if time_channel:  # room for the channel, written by each gather
         rows = np.concatenate([rows, np.zeros((len(rows), 1))], axis=1)
-    return Windows(
-        X=WindowSet(rows, source * N_HOURS + start, time_channel),
-        y=np.isfinite(onsets)[source].astype(np.float64),
-        horizons=(MAX_HORIZON - start).astype(np.int64),
-        ends=(start + INPUT_WINDOW - 1).astype(np.float64),
-        source=source,
-    )
+    return WindowSet(rows, source * N_HOURS + start,
+                     np.isfinite(onsets)[source].astype(np.float64),
+                     time_channel)
 
 
 def stay_onsets(stays: list[PatientStay]) -> np.ndarray:
@@ -145,12 +156,12 @@ def make_windows(stay: PatientStay, time_channel: bool = True) -> list[Sample]:
     w = cut_windows(stay.grid[None], stay_onsets([stay]), time_channel)
     return [
         Sample(
-            features=w.X[i],
-            window_start=MAX_HORIZON - int(w.horizons[i]),
-            horizon=int(w.horizons[i]),
-            label=int(w.y[i]),
+            features=w[i],
+            window_start=MAX_HORIZON - int(horizon),
+            horizon=int(horizon),
+            label=int(label),
             patient_id=stay.patient_id,
             icu_id=stay.icu_id,
         )
-        for i in range(len(w.y))
+        for i, (horizon, label) in enumerate(zip(w.horizons, w.y))
     ]

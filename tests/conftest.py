@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fedhorizon.cohort import PatientStay
-from fedhorizon.schema import INPUT_WINDOW, N_HOURS, default_schema
+from fedhorizon.schema import INPUT_WINDOW, MAX_HORIZON, N_HOURS, \
+    default_schema
 from fedhorizon.windowing import WindowSet
 
 
@@ -25,11 +26,18 @@ def schema():
     return default_schema()
 
 
-def window_set(X):
+def window_set(X, y, h=None):
     """A window set, without the time channel, whose windows are the
-    (M, 6, F) blocks of ``X``: window i is rows 6i to 6i + 5."""
-    return WindowSet(X.reshape(-1, X.shape[-1]),
-                     np.arange(len(X)) * INPUT_WINDOW, time_channel=False)
+    (M, 6, F) blocks of ``X`` with labels ``y``: window i sits at start
+    hour 25 - h[i] (hour 0 when ``h`` is None) of its own zero-padded
+    30-hour grid, so its horizon is h[i]."""
+    n_windows, _, n_features = X.shape
+    start = 0 if h is None else MAX_HORIZON - np.asarray(h)
+    first = np.arange(n_windows) * N_HOURS + start
+    rows = np.zeros((n_windows * N_HOURS, n_features))
+    rows[first[:, None] + np.arange(INPUT_WINDOW)] = X
+    return WindowSet(rows, first, np.asarray(y, dtype=np.float64),
+                     time_channel=False)
 
 
 def config_text(value) -> str:

@@ -207,10 +207,9 @@ def test_criterion_4_fedavg_algebra():
     crng = np.random.default_rng(7)
     y = (np.arange(40) % 2).astype(float)
     X = crng.normal(size=(40, 6, 5)) + y[:, None, None]
-    client = ClientState(icu_id="MICU", index=0, X_train=window_set(X),
-                         y_train=y, h_train=crng.integers(1, 26, 40),
-                         X_val=window_set(X[:8]), y_val=y[:8],
-                         h_val=np.full(8, 25))
+    client = ClientState(icu_id="MICU", index=0,
+                         X_train=window_set(X, y, crng.integers(1, 26, 40)),
+                         X_val=window_set(X[:8], y[:8], np.full(8, 25)))
     fed_model, _ = run_federated([client], model_cfg, seed=5, rounds=3,
                                  early_stop=False)
     manual = nn.Model(model_cfg)
@@ -244,6 +243,7 @@ def _fold_mean(run, setting, icu, metric):
     return run.aggregate.mean[(setting, icu)].get(metric)
 
 
+@pytest.mark.slow
 def test_criterion_5_federated_beats_local(full_run):
     wins, losses = [], []
     for icu in ICU_NAMES:
@@ -263,6 +263,7 @@ def test_criterion_5_federated_beats_local(full_run):
             f"0.02: {central_ok}")
 
 
+@pytest.mark.slow
 def test_criterion_6_improvement_grows_with_horizon(full_run):
     def mean_improvement(horizons):
         deltas = []
@@ -280,6 +281,7 @@ def test_criterion_6_improvement_grows_with_horizon(full_run):
             f"{far:+.3f} vs horizons 1-5 = {near:+.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_7_fir_eda(full_run):
     fir_value = _fold_mean(full_run, "federated", "overall", "fir")
     eda_value = _fold_mean(full_run, "federated", "overall", "eda")
@@ -289,6 +291,7 @@ def test_criterion_7_fir_eda(full_run):
             f"hours (> 0)")
 
 
+@pytest.mark.slow
 def test_criterion_8_fixed_window_comparison(full_run):
     var_rounds, fixed_rounds, deltas = [], [], {}
     for fr in full_run.fold_results:

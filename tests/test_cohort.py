@@ -332,7 +332,7 @@ class TestIngestCsv:
         paths = self._write(tmp_path, self.STATIC, self.TS, self.LABELS)
         part = ingest_csv(paths["static"], paths["timeseries"], paths["labels"])
         # s2 too short, s3 is a second stay
-        assert part.n_patients() == 1
+        assert len(part.all_stays()) == 1
         stay = part.stays_by_icu["MICU"][0]
         assert stay.stay_id == "s1"
         assert stay.sepsis_onset_hour == 12.5

@@ -58,8 +58,8 @@ class TestPrepareFold:
                            cfg.seed)
         _, test_sets = experiment.prepare_fold(part, 0, cfg)
         ts = test_sets["MICU"]
-        assert ts.window_ends.min() >= INPUT_WINDOW - 1
-        assert ts.window_ends.max() <= 29
+        assert ts.X.ends.min() >= INPUT_WINDOW - 1
+        assert ts.X.ends.max() <= 29
 
     def test_feature_no_stay_records_names_icu_stay_and_feature(self):
         from dataclasses import replace
@@ -328,11 +328,12 @@ class TestPrepareFoldMatchesPerStayReference:
             for name, ref in zip(fields, ref_client):
                 _assert_same_bits(getattr(c, name), ref, f"{c.icu_id} {name}")
             test = test_sets[c.icu_id]
-            fields = ("X", "y", "horizons", "window_ends", "patient_ids",
+            fields = ("X", "y", "horizons", "ends", "patient_ids",
                       "septic_patients")
-            for name, ref in zip(fields, ref_test):
-                _assert_same_bits(getattr(test, name), ref,
-                                  f"{c.icu_id} test {name}")
+            got_test = (test.X, test.y, test.horizons, test.X.ends,
+                        test.patient_ids[test.X.source], test.septic_patients)
+            for name, got, ref in zip(fields, got_test, ref_test):
+                _assert_same_bits(got, ref, f"{c.icu_id} test {name}")
 
     def test_repeated_calls_leave_partition_unchanged(self, split):
         cfg = tiny_config(folds=3, seed=5)

@@ -1,4 +1,5 @@
 import multiprocessing
+from dataclasses import replace
 from multiprocessing.pool import RemoteTraceback
 
 import numpy as np
@@ -33,8 +34,8 @@ def make_client(index, n=24, seed=0, icu=None, n_val=8):
     X, y, h = block(n)
     Xv, yv, hv = block(n_val)
     return ClientState(icu_id=icu or f"icu{index}", index=index,
-                       X_train=window_set(X), y_train=y, h_train=h,
-                       X_val=window_set(Xv), y_val=yv, h_val=hv)
+                       X_train=window_set(X, y, h),
+                       X_val=window_set(Xv, yv, hv))
 
 
 class TestFedavgAggregate:
@@ -120,7 +121,7 @@ class TestStoppingRule:
                    to_convergence):
         scored = []  # the vectors of each round's model
 
-        def scripted_f1(model, X, y, threshold):
+        def scripted_f1(model, X, threshold):
             scored.append((model.vector.copy(), model.buffer_vector.copy()))
             return trace[len(scored) - 1]
 
@@ -194,8 +195,9 @@ class TestRunRound:
 
     def test_auto_pos_weight_weighs_by_own_labels(self):
         auto, fixed = make_client(0), make_client(0)
-        for client in (auto, fixed):
-            client.y_train = (np.arange(24) < 6).astype(float)  # 6 of 24
+        for client in (auto, fixed):  # 6 positives of 24
+            client.X_train = replace(client.X_train,
+                                     y=(np.arange(24) < 6).astype(float))
         auto.pos_weight = None
         fixed.pos_weight = 3.0
         assert auto.loss_pos_weight == 3.0
@@ -239,7 +241,6 @@ class TestRunFederated:
     def test_empty_client_rejected(self):
         bad = make_client(0)
         bad.X_train = bad.X_train.select(slice(0, 0))
-        bad.y_train = bad.y_train[:0]
         with pytest.raises(FederationError):
             run_federated([bad], MODEL_CONFIG, seed=5, rounds=1)
 
@@ -333,13 +334,20 @@ class TestPoolClients:
         assert pool_clients([client]) is client
 
     def test_concatenates_in_order(self):
-        a, b = make_client(0, n=10), make_client(1, n=14)
+        """Each window keeps its label and horizon in the pool, for
+        training and validation sets of different sizes."""
+        a, b = make_client(0, n=10, n_val=3), make_client(1, n=14, n_val=5)
         pooled = pool_clients([a, b])
         assert pooled.n_k == 24
-        np.testing.assert_array_equal(pooled.X_train[:10], a.X_train[:])
-        np.testing.assert_array_equal(pooled.X_train[10:], b.X_train[:])
-        np.testing.assert_array_equal(pooled.y_train,
-                                      np.concatenate([a.y_train, b.y_train]))
+        for split in ("X_train", "X_val"):
+            got, parts = getattr(pooled, split), [getattr(a, split),
+                                                  getattr(b, split)]
+            np.testing.assert_array_equal(
+                got[:], np.concatenate([p[:] for p in parts]))
+            np.testing.assert_array_equal(
+                got.y, np.concatenate([p.y for p in parts]))
+            np.testing.assert_array_equal(
+                got.horizons, np.concatenate([p.horizons for p in parts]))
 
     def test_central_equals_local_on_pooled_data(self):
         """Central on two ICUs == Local on one pre-merged client with the
@@ -362,7 +370,8 @@ class TestPoolClients:
         labels, here 8 positives among 40 windows."""
         clients = [make_client(0, n=20), make_client(1, n=20)]
         for client in clients:
-            client.y_train = (np.arange(20) < 4).astype(float)
+            client.X_train = replace(client.X_train,
+                                     y=(np.arange(20) < 4).astype(float))
             client.pos_weight = weight
         pooled = pool_clients(clients)
         assert pooled.pos_weight == weight
@@ -405,10 +414,16 @@ class TestFilterClientHorizon:
         assert (out.h_train == h).all()
         assert (out.h_val == h).all()
         assert out.n_k == int((client.h_train == h).sum())
+        for split in ("X_train", "X_val"):  # labels stay with their windows
+            got, before = getattr(out, split), getattr(client, split)
+            sel = before.horizons == h
+            np.testing.assert_array_equal(got[:], before[sel])
+            np.testing.assert_array_equal(got.y, before.y[sel])
 
     def test_val_falls_back_when_horizon_absent(self):
         client = make_client(0, n=200, n_val=8)
-        client.h_val = np.full(8, 25)
+        client.X_val = window_set(client.X_val[:], client.y_val,
+                                  np.full(8, 25))
         missing = next(h for h in range(1, 26)
                        if h != 25 and (client.h_train == h).any())
         out = filter_client_horizon(client, missing)
@@ -416,7 +431,8 @@ class TestFilterClientHorizon:
 
     def test_no_samples_rejected(self):
         client = make_client(0, n=10)
-        client.h_train = np.full(10, 5)
+        client.X_train = window_set(client.X_train[:], client.y_train,
+                                    np.full(10, 5))
         with pytest.raises(FederationError):
             filter_client_horizon(client, 6)
 

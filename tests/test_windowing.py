@@ -88,8 +88,8 @@ def test_cut_windows_stack_equals_per_stay_windows():
     onsets = np.array([np.inf, 20.0, 5.0, 7.5])
     w = cut_windows(np.stack([s.grid for s in stays]), onsets)
     samples = [x for s in stays for x in make_windows(s)]
-    assert w.X.shape == (len(samples), 6, 27)
-    assert np.array_equal(w.X[:], np.stack([x.features for x in samples]))
+    assert w.shape == (len(samples), 6, 27)
+    assert np.array_equal(w[:], np.stack([x.features for x in samples]))
     assert w.horizons.tolist() == [x.horizon for x in samples]
     assert w.y.tolist() == [x.label for x in samples]
     assert w.ends.tolist() == [x.window_start + 5 for x in samples]
@@ -98,7 +98,7 @@ def test_cut_windows_stack_equals_per_stay_windows():
 
 def test_cut_windows_empty_stack():
     w = cut_windows(np.empty((0, 30, 26)), np.empty(0), time_channel=False)
-    assert w.X.shape == w.X[:].shape == (0, 6, 26)
+    assert w.shape == w[:].shape == (0, 6, 26)
     assert w.y.shape == w.horizons.shape == w.ends.shape == (0,)
 
 
@@ -134,17 +134,18 @@ def test_cut_windows_equals_sliding_view_cut(case, time_channel):
         grids, onsets = grids[:0], onsets[:0]
     w = cut_windows(grids, onsets, time_channel)
     want = _sliding_view_windows(grids, onsets, time_channel)
-    for got, ref in zip((w.X[:], w.y, w.horizons, w.ends, w.source), want):
+    for got, ref in zip((w[:], w.y, w.horizons, w.ends, w.source), want):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
-    assert w.X[:].flags.c_contiguous
+    assert w[:].flags.c_contiguous
     if case == "no_windows":
-        assert w.X.shape == (0, 6, 26 + time_channel)
+        assert w.shape == (0, 6, 26 + time_channel)
 
 
 def _eager_windows(grids, onsets, time_channel):
     """The cut that wrote every window out as its own (6, C) block: one
-    gather of each kept window's rows, then the time channel."""
+    gather of each kept window's rows, then the time channel. Returns the
+    windows, their labels and their horizons."""
     n_features = grids.shape[2]
     keep = np.arange(25) + 6 < onsets[:, None]
     source, start = np.nonzero(keep)
@@ -155,7 +156,7 @@ def _eager_windows(grids, onsets, time_channel):
     X = np.take(rows, first[:, None] + np.arange(6), axis=0)
     if time_channel:
         X[:, :, n_features] = (start / 24)[:, None]
-    return X
+    return X, np.isfinite(onsets)[source].astype(np.float64), 25 - start
 
 
 def _stack(seed, n, grid_case):
@@ -179,6 +180,12 @@ def _keys(m, rng):
             np.zeros(m, dtype=bool), np.array([], dtype=np.intp)]
 
 
+def _assert_same_labels(got, y, horizons):
+    """The set ``got`` holds labels ``y`` and horizons ``horizons``."""
+    assert got.y.tobytes() == y.tobytes()
+    assert got.horizons.tolist() == horizons.tolist()
+
+
 def _assert_same_windows(got, want):
     assert got.dtype == want.dtype == np.float64
     assert got.shape == want.shape
@@ -191,8 +198,9 @@ def _assert_same_windows(got, want):
 class TestWindowSet:
     def test_gathers_equal_eager_cut(self, time_channel, grid_case):
         grids, onsets = _stack(3, 9, grid_case)
-        X = cut_windows(grids, onsets, time_channel).X
-        want = _eager_windows(grids, onsets, time_channel)
+        X = cut_windows(grids, onsets, time_channel)
+        want, y, horizons = _eager_windows(grids, onsets, time_channel)
+        _assert_same_labels(X, y, horizons)
         assert len(X) == len(want) > 40
         assert X.shape == want.shape
         for key in _keys(len(X), np.random.default_rng(1)):
@@ -200,14 +208,15 @@ class TestWindowSet:
 
     def test_select_shares_rows(self, time_channel, grid_case):
         grids, onsets = _stack(4, 9, grid_case)
-        X = cut_windows(grids, onsets, time_channel).X
-        want = _eager_windows(grids, onsets, time_channel)
+        X = cut_windows(grids, onsets, time_channel)
+        want, y, horizons = _eager_windows(grids, onsets, time_channel)
         rng = np.random.default_rng(2)
         for sel in (slice(5, None, 2), rng.permutation(len(X))[:60],
                     rng.random(len(X)) < 0.5, slice(0, 0)):
             part = X.select(sel)
             assert part.rows is X.rows
             assert len(part) == len(want[sel])
+            _assert_same_labels(part, y[sel], horizons[sel])
             _assert_same_windows(part[:], want[sel])
             if len(part):
                 for key in _keys(len(part), rng):
@@ -216,14 +225,17 @@ class TestWindowSet:
     def test_concatenate_joins_rows(self, time_channel, grid_case):
         stacks = [_stack(seed, n, grid_case) for seed, n in ((5, 9), (6, 4),
                                                              (7, 7))]
-        sets = [cut_windows(g, o, time_channel).X for g, o in stacks]
+        sets = [cut_windows(g, o, time_channel) for g, o in stacks]
         wants = [_eager_windows(g, o, time_channel) for g, o in stacks]
         assert WindowSet.concatenate(sets[:1]) is sets[0]
         rng = np.random.default_rng(3)
         mask = rng.random(len(sets[2])) < 0.5
         joined = WindowSet.concatenate([sets[0].select(slice(2, None, 3)),
                                         sets[1], sets[2].select(mask)])
-        want = np.concatenate([wants[0][2::3], wants[1], wants[2][mask]])
+        want, y, horizons = (
+            np.concatenate([w[2::3], v, u[mask]])
+            for w, v, u in zip(*wants))
+        _assert_same_labels(joined, y, horizons)
         assert joined.rows.shape[0] == sum(len(s.rows) for s in sets)
         assert joined.shape == want.shape
         for key in [slice(None)] + _keys(len(joined), rng):
